@@ -31,9 +31,9 @@ from .superalgebra import (GENERATORS, ClassicalLimit, LocalRep, ProductRep,
                            classical_limit, coproduct_image, spectral_twist,
                            super_bracket, tensor_square_bases,
                            tensor_square_restrictions, tuple_rep, vector_rep)
-from .tensorops import (Operator, SubspaceBasis, column_space,
-                        commutant_dimension, embed_at_leg, exact_inverse,
-                        exact_solve, identity, kron, matrix_rank, matrix_unit,
-                        residual, restrict, restrict_action)
+from .tensorops import (Operator, SubspaceBasis, apply_at_legs, column_space,
+                        commutant_dimension, exact_inverse, exact_solve,
+                        identity, kron, matrix_rank, matrix_unit, residual,
+                        restrict, restrict_action)
 
 __version__ = "0.1.0"

@@ -11,20 +11,16 @@ import cmath
 import json
 import sys
 
-import numpy as np
-
 from .cartan import cartan_json
 from .dynamical import check_dynamical_ybe
-from .fusion import (apply_chain, check_fused_ybe, fused_space,
-                     fusion_constant, q_profile, symmetrizer)
-from .permutations import Permutation, concat_tuples
+from .fusion import (_MAX_SYMMETRIC_GROUP, check_fused_ybe, fused_restriction,
+                     fused_space, fusion_constant, symmetrizer)
 from .reports import basis_to_json, dump, matrix_to_json
 from .rmatrix import (check_twisted_ybe, vector_builder, vector_rmatrix,
                       vector_rmatrix_spectral)
 from .scalars import ExactField, NumericField, sample_params
 from .suite import LEVELS, SuiteConfig, run_suite
 from .superalgebra import check_relations, check_tensor_square, vector_rep
-from .tensorops import SubspaceBasis, restrict_action
 
 
 def parse_complex(text: str) -> complex:
@@ -40,21 +36,49 @@ def parse_complex(text: str) -> complex:
     raise argparse.ArgumentTypeError(f"expected 're,im', got {text!r}")
 
 
+def _parse_q(text: str) -> complex:
+    """q enters through q^-1 and 1/(q - q^-1): 0, 1 and -1 are rejected."""
+    q = parse_complex(text)
+    if q == 0 or q * q == 1:
+        raise argparse.ArgumentTypeError(
+            f"q must be nonzero with q^2 != 1, got {text!r}")
+    return q
+
+
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not tol >= 0:
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be >= 0, got {text!r}")
+    return tol
+
+
+def _sample_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"at least one sample is needed, got {text!r}")
+    return count
+
+
 def _add_common(p, *names):
     for name in names:
-        if name in ("q", "u", "v", "w", "x", "y", "lambda"):
+        if name == "q":
+            p.add_argument("--q", type=_parse_q, default=None)
+        elif name in ("u", "v", "w", "x", "y", "lambda"):
             p.add_argument(f"--{name}", type=parse_complex, default=None)
         elif name == "backend":
             p.add_argument("--backend", choices=("numeric", "exact"),
                            default="numeric")
         elif name == "tol":
-            p.add_argument("--tol", type=float, default=None)
+            p.add_argument("--tol", type=_tolerance, default=None)
         elif name == "seed":
             p.add_argument("--seed", type=int, default=7)
         elif name == "samples":
-            p.add_argument("--samples", type=int, default=3)
+            p.add_argument("--samples", type=_sample_count, default=3)
         elif name == "n":
-            p.add_argument("--n", type=int, default=2)
+            p.add_argument("--n", type=int, default=2,
+                           choices=range(1, _MAX_SYMMETRIC_GROUP + 1))
         elif name == "sign":
             p.add_argument("--sign", choices=("plus", "minus"),
                            default="plus")
@@ -64,6 +88,10 @@ def _add_common(p, *names):
 
 def _sign_value(text: str) -> int:
     return 1 if text == "plus" else -1
+
+
+def _tol(args, default: float) -> float:
+    return default if args.tol is None else args.tol
 
 
 def _fill_params(args, *names):
@@ -119,7 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification level")
     p.add_argument("level", choices=LEVELS)
     _add_common(p, "backend", "tol", "seed", "samples", "n", "sign", "output")
-    p.add_argument("--single-thread", action="store_true")
+    p.add_argument("--single-thread", action="store_true",
+                   help="accepted for compatibility; checks always run "
+                        "sequentially")
     p.add_argument("--negative-controls", action="store_true")
     return parser
 
@@ -134,7 +164,7 @@ def _cmd_dump_cartan(args) -> int:
 
 
 def _cmd_check_relations(args) -> int:
-    tol = args.tol if args.tol is not None else 1e-12
+    tol = _tol(args, 1e-12)
     if args.backend == "exact":
         fld = ExactField()
         report = check_relations(vector_rep(fld, fld.x), tol=tol)
@@ -150,7 +180,7 @@ def _cmd_check_relations(args) -> int:
 
 
 def _cmd_check_lemma1(args) -> int:
-    tol = args.tol if args.tol is not None else 1e-10
+    tol = _tol(args, 1e-10)
     _fill_params(args, "q", "x", "y")
     fld = NumericField(args.q)
     report = check_tensor_square(fld, args.x, args.y, tol=tol,
@@ -187,10 +217,10 @@ def _cmd_check_ybe(args) -> int:
         if args.level == "box":
             report = check_twisted_ybe(fld, vector_builder(fld), fld.u,
                                        fld.v, fld.w, fld.x,
-                                       tol=args.tol or 1e-9, name="box-ybe")
+                                       tol=_tol(args, 1e-9), name="box-ybe")
         else:
             report = check_fused_ybe(fld, args.n, sign, fld.u, fld.v, fld.w,
-                                     fld.x, tol=args.tol or 1e-8)
+                                     fld.x, tol=_tol(args, 1e-8))
         _emit(report, sys.stdout)
         return 0 if report.passed else 1
     for seed in range(args.seed, args.seed + args.samples):
@@ -202,11 +232,11 @@ def _cmd_check_ybe(args) -> int:
         x = args.x if args.x is not None else ps.x
         if args.level == "box":
             report = check_twisted_ybe(fld, vector_builder(fld), u, v, w, x,
-                                       tol=args.tol or 1e-9, params=ps,
+                                       tol=_tol(args, 1e-9), params=ps,
                                        seed=seed, name="box-ybe")
         else:
             report = check_fused_ybe(fld, args.n, sign, u, v, w, x,
-                                     tol=args.tol or 1e-8, params=ps,
+                                     tol=_tol(args, 1e-8), params=ps,
                                      seed=seed)
         _emit(report, sys.stdout)
         ok = ok and report.passed
@@ -217,7 +247,7 @@ def _cmd_fusion_report(args) -> int:
     _fill_params(args, "q", "x", "u", "v")
     sign = _sign_value(args.sign)
     fld = NumericField(args.q)
-    tol = args.tol if args.tol is not None else 1e-9
+    tol = _tol(args, 1e-9)
     payload = {"n": args.n, "sign": args.sign}
     for sg, label in ((1, "plus"), (-1, "minus")):
         sym = symmetrizer(fld, args.n, args.x, sg, tol=tol)
@@ -227,21 +257,11 @@ def _cmd_fusion_report(args) -> int:
         const = fusion_constant(fld, args.n, args.u, args.x, sg, sym=sym,
                                 tol=tol)
         payload[f"constant_{label}"] = {"re": const.real, "im": const.imag}
-    sp2 = fused_space(fld, args.n, fld.q_power(args.n) * args.x, sign,
-                      tol=tol)
-    sp1 = fused_space(fld, args.n, args.x, sign, tol=tol)
-    block = np.kron(sp1.basis.columns, sp2.basis.columns)
-    gam = Permutation.reversal(args.n)
-    prof = q_profile(fld, args.n, sign)
-    tup = concat_tuples(gam.act(tuple(args.u * p for p in prof)),
-                        gam.act(tuple(args.v * p for p in prof)))
-    action = apply_chain(fld, tup, args.x, Permutation.block_swap(args.n),
-                         block)
-    _, inv_residual = restrict_action(SubspaceBasis(block), action, tol)
-    payload["invariance_residual"] = inv_residual
+    _, payload["invariance_residual"] = fused_restriction(
+        fld, args.n, args.u, args.v, args.x, sign, tol=tol)
     ps = sample_params(args.seed)
     ybe = check_fused_ybe(fld, args.n, sign, args.u, args.v, ps.w, args.x,
-                          tol=args.tol or 1e-8, seed=args.seed)
+                          tol=_tol(args, 1e-8), seed=args.seed)
     payload["ybe_residual"] = ybe.residual
     if args.json_out:
         dump(payload, args.json_out)
@@ -259,7 +279,7 @@ def _cmd_check_dynamical(args) -> int:
     a = cmath.log(fld.q)
     report = check_dynamical_ybe(fld, args.n, _sign_value(args.sign),
                                  args.u, args.v, args.w, lam, a=a,
-                                 tol=args.tol or 1e-8, seed=args.seed)
+                                 tol=_tol(args, 1e-8), seed=args.seed)
     _emit(report, sys.stdout)
     return 0 if report.passed else 1
 
@@ -273,7 +293,6 @@ def _cmd_verify(args) -> int:
         n=args.n,
         sign=_sign_value(args.sign),
         negative_controls=args.negative_controls,
-        single_thread=args.single_thread,
     )
     stream = sys.stdout
     handle = None

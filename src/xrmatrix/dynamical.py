@@ -22,7 +22,7 @@ import numpy as np
 from .fusion import fused_builder
 from .reports import CheckReport
 from .rmatrix import ybe_residual
-from .tensorops import Operator, _dot, residual
+from .tensorops import Operator, apply_at_legs, residual
 
 
 @dataclass(frozen=True)
@@ -111,11 +111,13 @@ def check_dynamical_ybe(fld, n: int, sign: int, u, v, w, lam: complex,
     With the genuine single weight -n this reduces to the twisted YBE
     with middle-leg parameter q^n x, and the checker paths coincide, so
     the residual equals the twisted one bitwise on identical operands.
-    A fake weight (e.g. -(n+1)) makes it fail.
+    A fake weight (e.g. -(n+1)) makes it fail.  tol is the verdict
+    threshold only; the fused construction keeps its own default
+    tolerance, as in check_fused_ybe.
     """
     if a is None:
         a = cmath.log(fld.q)
-    rmx = DynamicalRMatrix(fld, n, sign, a, tol=tol)
+    rmx = DynamicalRMatrix(fld, n, sign, a)
     r_uv = rmx.build(u, v, lam)
     d = r_uv.legs[0]
     if weighted is None:
@@ -135,20 +137,17 @@ def check_dynamical_ybe(fld, n: int, sign: int, u, v, w, lam: complex,
         )
         res = ybe_residual(mats)
     else:
-        eyed = np.eye(d)
-
-        def leg12(m):
-            return np.kron(m.mat, eyed)
-
-        m12_vw = leg12(rmx.build(v, w, lam))
-        m12_uv = leg12(r_uv)
-        m12_uw = leg12(rmx.build(u, w, lam))
+        legs = (d, d, d)
+        r_vw = rmx.build(v, w, lam)
+        r_uw = rmx.build(u, w, lam)
         m23_uw = weighted_middle_factor(rmx, weighted, u, w, lam)
         m23_uv = weighted_middle_factor(rmx, weighted, u, v, lam)
         m23_vw = weighted_middle_factor(rmx, weighted, v, w, lam)
-        lhs = _dot(_dot(m12_vw, m23_uw), m12_uv)
-        rhs = _dot(_dot(m23_uv, m12_uw), m23_vw)
-        res = residual(lhs - rhs, [m12_vw, m23_uw, m12_uv])
+        m12_uv = apply_at_legs(r_uv, 1, legs, np.eye(d ** 3))
+        lhs = apply_at_legs(r_vw, 1, legs, m23_uw @ m12_uv)
+        rhs = m23_uv @ apply_at_legs(r_uw, 1, legs, m23_vw)
+        # ||R (x) I_d|| = sqrt(d) ||R|| for each of the two 12-slot factors
+        res = residual(lhs - rhs, [r_vw, m23_uw, r_uv]) / d
     return CheckReport(
         name="dynamical-ybe", params=params, residual=res, passed=res < tol,
         seed=seed,

@@ -4,9 +4,9 @@ The Hecke generator images are recovered from the elementary R-matrix
 by the affine inversion formula
     pi(h_i) = (R_i(u, v; x) - v (q^2 - 1) I) / (u - v),
 probed at two integer (u, v) pairs; on the exact backend integer probes
-keep every entry polynomial.  Chains over a permutation compose the
-embedded elementary matrices along the canonical reduced word, updating
-the parameter tuple by partial permutations.
+keep every entry polynomial.  Chains over a permutation apply the
+elementary matrices leg by leg along the canonical reduced word,
+updating the parameter tuple by partial permutations.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from .reports import CheckReport, scalar_to_json
 from .rmatrix import RMatrixBuilder, check_twisted_ybe, vector_rmatrix
 from .superalgebra import (_ALL_TAGS, GENERATORS, LocalRep, coproduct_image,
                            tuple_rep)
-from .tensorops import (Operator, SubspaceBasis, _dot, _is_exact,
-                        column_space, embed_at_leg, residual, restrict,
-                        restrict_action)
+from .tensorops import (Operator, SubspaceBasis, _is_exact, apply_at_legs,
+                        column_space, residual, restrict, restrict_action)
 
 _MAX_SYMMETRIC_GROUP = 6
 
@@ -38,83 +37,65 @@ def q_profile(fld, n: int, sign: int):
     return tuple(fld.q_power(-2 * sign * k) for k in range(n))
 
 
-def _two_leg_factor(fld, ti, tj, x, i: int, nlegs: int) -> Operator:
-    """Elementary R at legs (i, i+1), 0-based, with parameter q^i x."""
-    r = vector_rmatrix(fld, ti, tj, fld.q_power(i) * x)
-    return embed_at_leg(r, i + 1, (4,) * nlegs)
-
-
 def chain_rmatrix(fld, a, x, perm: Permutation) -> Operator:
-    """The chained R-matrix over perm on n four-dimensional legs.
-
-    Composes right-to-left along the canonical reduced word; parameter
-    tuples are updated by the partial permutations, so any reduced word
-    gives the same operator (a consequence of the elementary YBE,
-    verified in the tests rather than assumed).
-    """
-    nlegs = perm.n
-    if len(a) != nlegs:
-        raise ValueError("parameter tuple and permutation rank differ")
-    legs = (4,) * nlegs
-    out = None
-    t = list(a)
-    for i in reversed(perm.reduced_word()):
-        factor = _two_leg_factor(fld, t[i], t[i + 1], x, i, nlegs)
-        out = factor if out is None else factor @ out
-        t[i], t[i + 1] = t[i + 1], t[i]
-    if out is None:
-        from .tensorops import identity
-
-        return identity(fld, legs)
-    return out
+    """The chained R-matrix over perm on n four-dimensional legs."""
+    legs = (4,) * perm.n
+    return Operator(apply_chain(fld, a, x, perm, fld.eye(4 ** perm.n)), legs)
 
 
 def apply_chain(fld, a, x, perm: Permutation, block: np.ndarray) -> np.ndarray:
-    """The chained R-matrix applied to a rectangular block, M @ block.
+    """The chained R-matrix over perm applied to a block, M @ block.
 
-    Numeric blocks are contracted leg by leg without forming the full
-    chain operator; exact blocks fall back to the full product.
+    Applies the elementary R-matrices right-to-left along the canonical
+    reduced word, the one at legs (i, i+1) (0-based) with parameter
+    q^i x, without forming the chain operator; the same code serves
+    both backends.  Parameter tuples are updated by the partial
+    permutations, so any reduced word gives the same operator (a
+    consequence of the elementary YBE, verified in the tests rather
+    than assumed).
     """
-    nlegs = perm.n
-    if _is_exact(block) or fld.backend == "exact":
-        return _dot(chain_rmatrix(fld, a, x, perm).mat, block)
-    cur = np.asarray(block, dtype=np.complex128)
-    k = cur.shape[1]
+    if len(a) != perm.n:
+        raise ValueError("parameter tuple and permutation rank differ")
+    legs = (4,) * perm.n
     t = list(a)
     for i in reversed(perm.reduced_word()):
-        r = vector_rmatrix(fld, t[i], t[i + 1], fld.q_power(i) * x).mat
-        pre = 4 ** i
-        rest = cur.size // (pre * 16)
-        cur = np.einsum("ab,pbs->pas", r, cur.reshape(pre, 16, rest))
-        cur = cur.reshape(4 ** nlegs, k)
+        r = vector_rmatrix(fld, t[i], t[i + 1], fld.q_power(i) * x)
+        block = apply_at_legs(r, i + 1, legs, block)
         t[i], t[i + 1] = t[i + 1], t[i]
-    return cur
+    return block
 
 
 # ---------------------------------------------------------------------------
 # Hecke representation
 
 def hecke_generator_images(fld, n: int, x, tol: float = 1e-9):
-    """pi(h_i) for i = 1..n-1, with a two-probe consistency guard."""
+    """pi(h_i) for i = 1..n-1, with a two-probe consistency guard.
+
+    The inversion formula and the guard work on the two legs the
+    generator acts on; the image is then placed at legs (i, i+1).
+    """
     probes = ((2, 3), (5, 7))
     q2 = fld.q_power(2)
     one = fld.one
+    legs = (4,) * n
+    eye2 = fld.eye(16)
+    eye = fld.eye(4 ** n)
     out = []
     for i in range(n - 1):
         imgs = []
         for pu, pv in probes:
             u = fld.from_int(pu)
             v = fld.from_int(pv)
-            rr = _two_leg_factor(fld, u, v, x, i, n)
-            shifted = rr.mat - fld.eye(4 ** n) * (v * (q2 - one))
-            imgs.append(shifted * (one / (u - v)))
+            r = vector_rmatrix(fld, u, v, fld.q_power(i) * x).mat
+            imgs.append((r - eye2 * (v * (q2 - one))) * (one / (u - v)))
         dev = residual(imgs[0] - imgs[1], [imgs[0]])
         if _fails(dev, fld.backend == "exact", tol):
             raise RuntimeError(
                 f"hecke image at leg {i + 1} depends on the probe pair "
                 f"(residual {dev:.3e}); transcription bug"
             )
-        out.append(Operator(imgs[0], (4,) * n))
+        h = apply_at_legs(Operator(imgs[0], (4, 4)), i + 1, legs, eye)
+        out.append(Operator(h, legs))
     return out
 
 
@@ -136,16 +117,14 @@ def check_hecke_relations(fld, n: int, x, tol: float = 1e-10,
         worst = max(worst, dev)
 
     for i, h in enumerate(hs):
-        note(f"quadratic h_{i+1}",
-             _dot(h - eye * q2, h + eye), [h, h])
+        note(f"quadratic h_{i+1}", (h - eye * q2) @ (h + eye), [h, h])
         if i + 1 < len(hs):
             note(f"braid h_{i+1} h_{i+2}",
-                 _dot(_dot(hs[i], hs[i + 1]), hs[i])
-                 - _dot(_dot(hs[i + 1], hs[i]), hs[i + 1]),
+                 hs[i] @ hs[i + 1] @ hs[i] - hs[i + 1] @ hs[i] @ hs[i + 1],
                  [hs[i], hs[i + 1], hs[i]])
         for j in range(i + 2, len(hs)):
             note(f"commute h_{i+1} h_{j+1}",
-                 _dot(hs[i], hs[j]) - _dot(hs[j], hs[i]), [hs[i], hs[j]])
+                 hs[i] @ hs[j] - hs[j] @ hs[i], [hs[i], hs[j]])
     passed = (worst == 0.0) if exact else (worst < tol)
     return CheckReport(name="hecke-relations", params=params, residual=worst,
                        passed=passed, exact=exact, seed=seed,
@@ -191,17 +170,17 @@ def symmetrizer(fld, n: int, x, sign: int, hecke=None,
             i = next(j for j in range(n - 1) if line[j] > line[j + 1])
             parent = list(line)
             parent[i], parent[i + 1] = parent[i + 1], parent[i]
-            images[line] = _dot(images[tuple(parent)], hs[i].mat)
+            images[line] = images[tuple(parent)] @ hs[i].mat
         ell = perm.length()
         coeff = fld.one if sign > 0 else neg_q2 ** ell
         total = total + images[line] * coeff
         constant = constant + fld.q_power(2 * sign * ell)
     eig = fld.q_power(2) if sign > 0 else fld.from_int(-1)
     for i, h in enumerate(hs):
-        dev = residual(_dot(h.mat, total) - total * eig, [h.mat, total])
+        dev = residual(h.mat @ total - total * eig, [h.mat, total])
         if _fails(dev, exact, tol):
             raise RuntimeError(f"symmetrizer eigen-relation fails at h_{i+1}")
-    dev = residual(_dot(total, total) - total * constant, [total, total])
+    dev = residual(total @ total - total * constant, [total, total])
     if _fails(dev, exact, tol):
         raise RuntimeError("symmetrizer square constant fails")
     op = Operator(total, (4,) * n)
@@ -290,10 +269,10 @@ def fused_space(fld, n: int, x, sign: int, sym: Symmetrizer = None,
     return FusedSpace(sign=sign, n=n, x=x, basis=basis)
 
 
-def fused_rmatrix(fld, n: int, u, v, x, sign: int, spaces=None,
-                  tol: float = 1e-9) -> Operator:
+def fused_restriction(fld, n: int, u, v, x, sign: int, spaces=None,
+                      tol: float = 1e-9):
     """The chained R-matrix over the block swap, restricted to the
-    fused subspace pair at (x, q^n x).
+    fused subspace pair at (x, q^n x), and its invariance residual.
 
     Raises if the restriction is not invariant; invariance is exactly
     the projector-commutation property checked elsewhere.
@@ -310,8 +289,14 @@ def fused_rmatrix(fld, n: int, u, v, x, sign: int, spaces=None,
     tau = Permutation.block_swap(n)
     block = np.kron(sp1.basis.columns, sp2.basis.columns)
     action = apply_chain(fld, a, x, tau, block)
-    small, _ = restrict_action(SubspaceBasis(block), action, tol)
-    return Operator(small, (sp1.dim, sp2.dim))
+    small, rel = restrict_action(SubspaceBasis(block), action, tol)
+    return Operator(small, (sp1.dim, sp2.dim)), rel
+
+
+def fused_rmatrix(fld, n: int, u, v, x, sign: int, spaces=None,
+                  tol: float = 1e-9) -> Operator:
+    """The fused R-matrix: fused_restriction without its residual."""
+    return fused_restriction(fld, n, u, v, x, sign, spaces, tol)[0]
 
 
 def fused_builder(fld, n: int, sign: int, tol: float = 1e-9) -> RMatrixBuilder:
@@ -349,10 +334,10 @@ def check_projector_commutation(fld, n: int, u, v, x, sign: int,
     second_x = fld.q_power(n + 1 if sabotage_shift else n) * x
     sym2 = symmetrizer(fld, n, second_x, sign, tol=tol)
     doubled = np.kron(sym1.op.mat, sym2.op.mat)
-    lhs = chain_rmatrix(fld, concat_tuples(gam.act(up), gam.act(vp)), x, tau)
+    lhs_side = apply_chain(fld, concat_tuples(gam.act(up), gam.act(vp)), x,
+                           tau, doubled)
     rhs = chain_rmatrix(fld, concat_tuples(up, vp), x, tau)
-    lhs_side = _dot(lhs.mat, doubled)
-    delta = lhs_side - _dot(doubled, rhs.mat)
+    delta = lhs_side - doubled @ rhs.mat
     # the equality is between two products; normalize by one side
     res = residual(delta, [lhs_side])
     exact = fld.backend == "exact"
@@ -423,7 +408,7 @@ def check_fused_intertwining(fld, n: int, u, v, x, sign: int,
     for tag in GENERATORS:
         a = coproduct_image(tag, [rep_u1, rep_v2])
         b = coproduct_image(tag, [rep_v1, rep_u2])
-        res = residual(_dot(rmat, a) - _dot(b, rmat), [rmat, a])
+        res = residual(rmat @ a - b @ rmat, [rmat, a])
         if worst_gen is None or res > worst:
             worst_gen = tag
         worst = max(worst, res)

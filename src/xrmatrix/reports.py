@@ -43,14 +43,6 @@ class CheckReport:
         }
 
 
-def make_report(name, residual, tol, params="symbolic", exact=False,
-                elapsed_ms=0, seed=-1, details=None) -> CheckReport:
-    passed = (residual == 0.0) if exact else (residual < tol)
-    return CheckReport(name=name, params=params, residual=float(residual),
-                       passed=passed, exact=exact, elapsed_ms=elapsed_ms,
-                       seed=seed, details=details or {})
-
-
 def scalar_to_json(s) -> object:
     """Numeric complex -> {re, im}; exact -> {num, den} term lists."""
     if isinstance(s, RationalFunction):
@@ -106,7 +98,3 @@ def dump(obj: dict, path: str) -> None:
         fh.write(text)
         fh.write("\n")
 
-
-def report_lines(reports) -> str:
-    """JSON-lines rendering of a report list."""
-    return "\n".join(json.dumps(r.to_json(), sort_keys=True) for r in reports)

@@ -18,7 +18,8 @@ from .cartan import theta
 from .reports import CheckReport
 from .scalars import ExactField
 from .superalgebra import GENERATORS, tensor_square_bases, tuple_rep
-from .tensorops import Operator, _dot, _is_exact, exact_inverse, residual
+from .tensorops import (Operator, _is_exact, apply_at_legs, exact_inverse,
+                        residual)
 
 
 def tensor_projectors(fld, x):
@@ -32,8 +33,8 @@ def tensor_projectors(fld, x):
             inv = np.linalg.solve(change, np.eye(16, dtype=np.complex128))
         except np.linalg.LinAlgError as err:
             raise ValueError(f"degenerate basis matrix: {err}") from err
-    p1 = _dot(change[:, :8], inv[:8, :])
-    p2 = _dot(change[:, 8:], inv[8:, :])
+    p1 = change[:, :8] @ inv[:8, :]
+    p2 = change[:, 8:] @ inv[8:, :]
     return Operator(p1, (4, 4)), Operator(p2, (4, 4))
 
 
@@ -100,7 +101,7 @@ def check_intertwining(fld, r: Operator, u, v, x, tol: float = 1e-10,
     for tag in GENERATORS:
         a = rep_uv.image(tag)
         b = rep_vu.image(tag)
-        res = residual(_dot(r.mat, a) - _dot(b, r.mat), [r.mat, a])
+        res = residual(r.mat @ a - b @ r.mat, [r.mat, a])
         if res > worst or worst_gen is None:
             worst, worst_gen = max(worst, res), tag
     passed = (worst == 0.0) if exact else (worst < tol)
@@ -135,22 +136,25 @@ def ybe_residual(mats) -> float:
     """Relative residual of the twisted YBE for six prebuilt factors.
 
     mats = (R(v,w;x), R(u,w;x'), R(u,v;x), R(u,v;x'), R(u,w;x),
-    R(v,w;x')) where x' is the middle-leg parameter.  The residual is
+    R(v,w;x')) where x' is the middle-leg parameter.  Each side is the
+    d^3 identity with its three factors applied leg by leg.  The residual is
     normalized by the composite sides being compared, which keeps the
     deliberate-failure controls well away from the pass thresholds.
     """
     a, b, c, d_, e, f = mats
     d = a.legs[0]
-    eyed = ExactField().eye(d) if _is_exact(a.mat) else np.eye(d)
+    legs = (d, d, d)
+    eye = ExactField().eye(d ** 3) if _is_exact(a.mat) else np.eye(d ** 3)
 
-    def leg12(m):
-        return np.kron(m.mat, eyed)
+    def side(*factors):
+        # factors as (operator, position), rightmost applied first
+        out = eye
+        for op, pos in reversed(factors):
+            out = apply_at_legs(op, pos, legs, out)
+        return out
 
-    def leg23(m):
-        return np.kron(eyed, m.mat)
-
-    lhs = _dot(_dot(leg12(a), leg23(b)), leg12(c))
-    rhs = _dot(_dot(leg23(d_), leg12(e)), leg23(f))
+    lhs = side((a, 1), (b, 2), (c, 1))
+    rhs = side((d_, 2), (e, 1), (f, 2))
     return residual(lhs - rhs, [lhs])
 
 

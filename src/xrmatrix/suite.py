@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import cmath
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .dynamical import check_dynamical_ybe, single_weight_space
@@ -41,7 +40,6 @@ class SuiteConfig:
     n: int = 2
     sign: int = 1
     negative_controls: bool = False
-    single_thread: bool = False
 
     def seeds(self):
         return range(self.seed, self.seed + self.samples)
@@ -256,11 +254,9 @@ _LEVEL_CHECKS = {
 
 
 def run_suite(level: str, cfg: SuiteConfig, emit=None):
-    """Run the selected level(s); returns the reports in a stable order.
+    """Run the selected level(s) in order; returns the reports.
 
-    Checks run concurrently across a small thread pool unless
-    single_thread is set; reports are collected (and emitted) in
-    submission order either way.
+    Each report is emitted as soon as its check finishes.
     """
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}; choose from {LEVELS}")
@@ -275,18 +271,9 @@ def run_suite(level: str, cfg: SuiteConfig, emit=None):
         pending = list(_LEVEL_CHECKS[level](cfg))
 
     reports = []
-    if cfg.single_thread:
-        for fn in pending:
-            report = fn()
-            reports.append(report)
-            if emit:
-                emit(report)
-    else:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(fn) for fn in pending]
-            for fut in futures:
-                report = fut.result()
-                reports.append(report)
-                if emit:
-                    emit(report)
+    for fn in pending:
+        report = fn()
+        reports.append(report)
+        if emit:
+            emit(report)
     return reports

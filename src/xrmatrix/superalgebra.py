@@ -20,7 +20,7 @@ import numpy as np
 from .cartan import parity, root_pairing, theta, weight_pairing
 from .reports import CheckReport, scalar_to_json
 from .scalars import NumericField
-from .tensorops import (Operator, SubspaceBasis, _dot, exact_solve, frobenius,
+from .tensorops import (Operator, SubspaceBasis, exact_solve, frobenius,
                         matrix_rank, matrix_unit, residual, restrict)
 
 GENERATORS = ("s",) + tuple(f"K{i}" for i in range(4)) + \
@@ -36,8 +36,8 @@ FINITE_GENERATORS = ("s",) + tuple(
 
 def super_bracket(fld, a: np.ndarray, b: np.ndarray, pa: int, pb: int):
     """[a, b] = ab - (-1)^{pa pb} ba."""
-    ab = _dot(a, b)
-    ba = _dot(b, a)
+    ab = a @ b
+    ba = b @ a
     return ab + ba if (pa and pb) else ab - ba
 
 
@@ -121,11 +121,11 @@ def coproduct_image(tag: str, reps) -> np.ndarray:
         out = np.kron(head.image(tag), fld.eye(rest_dim))
         grouplike = head.image(f"K{i}")
         if parity(i):
-            grouplike = _dot(grouplike, head.image("s"))
+            grouplike = grouplike @ head.image("s")
         out = out + np.kron(grouplike, coproduct_image(tag, rest))
         if i == 0:
             coeff = fld.q - fld.one / fld.q
-            first = _dot(head.image("s"), head.image("[E0,F2]")) * coeff
+            first = head.image("s") @ head.image("[E0,F2]") * coeff
             out = out + np.kron(first, coproduct_image("E2", rest))
         return out
     if tag.startswith("F"):
@@ -200,27 +200,27 @@ def check_relations(rep, tol: float = 1e-10, params="symbolic",
         worst = max(worst, r)
 
     s = rep.image("s")
-    note("s^2=1", _dot(s, s) - eye, [s, s])
+    note("s^2=1", s @ s - eye, [s, s])
     qdiff = fld.q - fld.one / fld.q
     for i in range(4):
         k, kinv = rep.image(f"K{i}"), rep.image(f"Kinv{i}")
         e, f = rep.image(f"E{i}"), rep.image(f"F{i}")
-        note(f"K{i} K{i}^-1=1", _dot(k, kinv) - eye, [k, kinv])
-        note(f"s K{i} s=K{i}", _dot(_dot(s, k), s) - k, [s, k, s])
+        note(f"K{i} K{i}^-1=1", k @ kinv - eye, [k, kinv])
+        note(f"s K{i} s=K{i}", s @ k @ s - k, [s, k, s])
         sgn = fld.from_int((-1) ** parity(i))
-        note(f"s E{i} s", _dot(_dot(s, e), s) - e * sgn, [s, e, s])
-        note(f"s F{i} s", _dot(_dot(s, f), s) - f * sgn, [s, f, s])
+        note(f"s E{i} s", s @ e @ s - e * sgn, [s, e, s])
+        note(f"s F{i} s", s @ f @ s - f * sgn, [s, f, s])
         for j in range(4):
             kj = rep.image(f"K{j}")
             if j > i:
-                note(f"K{i} K{j} commute", _dot(k, kj) - _dot(kj, k), [k, kj])
+                note(f"K{i} K{j} commute", k @ kj - kj @ k, [k, kj])
             ej, fj = rep.image(f"E{j}"), rep.image(f"F{j}")
             pair = root_pairing(i, j)
             note(f"K{i} E{j} K{i}^-1",
-                 _dot(_dot(k, ej), kinv) - ej * fld.q_power(pair),
+                 k @ ej @ kinv - ej * fld.q_power(pair),
                  [k, ej, kinv])
             note(f"K{i} F{j} K{i}^-1",
-                 _dot(_dot(k, fj), kinv) - fj * fld.q_power(-pair),
+                 k @ fj @ kinv - fj * fld.q_power(-pair),
                  [k, fj, kinv])
             if (i, j) in ((2, 0), (0, 2)):
                 continue
@@ -232,7 +232,7 @@ def check_relations(rep, tol: float = 1e-10, params="symbolic",
     central_scalars = []
     for name, kf, ea, fb in (("K2[E2,F0]", "K2", "E2", "F0"),
                              ("K2^-1[E0,F2]", "Kinv2", "E0", "F2")):
-        c = _dot(rep.image(kf), rep.image(f"[{ea},{fb}]"))
+        c = rep.image(kf) @ rep.image(f"[{ea},{fb}]")
         scalar = c[0, 0]
         central_scalars.append(scalar_to_json(scalar))
         # normalize against the factors that built c: the central image
@@ -242,7 +242,7 @@ def check_relations(rep, tol: float = 1e-10, params="symbolic",
              built_from if not exact else [])
         for g in GENERATORS:
             gi = rep.image(g)
-            note(f"{name} commutes with {g}", _dot(c, gi) - _dot(gi, c),
+            note(f"{name} commutes with {g}", c @ gi - gi @ c,
                  built_from + [gi] if not exact else [])
 
     passed = (worst == 0.0) if exact else (worst < tol)
@@ -292,7 +292,7 @@ def tensor_square_bases(fld, x, y):
 
 
 def _invariance_residual(m: np.ndarray, basis: SubspaceBasis) -> float:
-    action = _dot(m, basis.columns)
+    action = m @ basis.columns
     if m.dtype == object:
         try:
             exact_solve(basis.columns, action)

@@ -5,8 +5,10 @@ e_{i1} (x) ... (x) e_{in} (1-based labels) has flat index
 sum_k (i_k - 1) * prod_{m>k} d_m.  np.kron realizes exactly this.
 
 Numeric matrices are complex128 arrays; exact matrices are object
-arrays of RationalFunction entries.  Matrix products on object arrays
-go through np.dot, which dispatches to the Python operators.
+arrays of RationalFunction entries.  The @ operator (np.matmul) serves
+both: on object arrays it dispatches to the Python operators.  A
+two-leg operator acts on a tensor product through apply_at_legs, which
+never forms the identity-padded embedding.
 """
 
 from __future__ import annotations
@@ -21,12 +23,6 @@ from .scalars import RationalFunction
 
 def _is_exact(mat: np.ndarray) -> bool:
     return mat.dtype == object
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.dtype == object or b.dtype == object:
-        return np.dot(a, b)
-    return a @ b
 
 
 def frobenius(mat: np.ndarray) -> float:
@@ -74,7 +70,7 @@ class Operator:
     def __matmul__(self, other: "Operator") -> "Operator":
         if self.dim != other.dim:
             raise ValueError("operator dimensions differ")
-        return Operator(_dot(self.mat, other.mat), self.legs)
+        return Operator(self.mat @ other.mat, self.legs)
 
     def __add__(self, other: "Operator") -> "Operator":
         return Operator(self.mat + other.mat, self.legs)
@@ -122,29 +118,31 @@ def kron(a: Operator, b: Operator) -> Operator:
     return Operator(np.kron(a.mat, b.mat), a.legs + b.legs)
 
 
-def embed_at_leg(r: Operator, pos: int, legs) -> Operator:
-    """Embed a two-leg operator at legs (pos, pos+1), identity elsewhere.
+def apply_at_legs(op: Operator, pos: int, legs,
+                  block: np.ndarray) -> np.ndarray:
+    """kron(I_pre, op, I_post) @ block, without forming the embedding.
 
-    pos is 1-based; r must act on exactly legs[pos-1], legs[pos].
+    op acts on legs (pos, pos+1), pos 1-based, and must match
+    legs[pos-1], legs[pos]; block has prod(legs) rows.  The block is
+    viewed as (pre, d1*d2, rest) and op multiplies the middle axis.
     """
     legs = tuple(legs)
     if not 1 <= pos <= len(legs) - 1:
         raise ValueError(f"position {pos} out of range for {len(legs)} legs")
-    if r.legs != (legs[pos - 1], legs[pos]):
+    if op.legs != (legs[pos - 1], legs[pos]):
         raise ValueError(
-            f"operator legs {r.legs} do not match target legs "
+            f"operator legs {op.legs} do not match target legs "
             f"{(legs[pos - 1], legs[pos])} at position {pos}"
         )
-    pre = int(np.prod(legs[: pos - 1])) if pos > 1 else 1
-    post = int(np.prod(legs[pos + 1:])) if pos + 1 < len(legs) else 1
-    if _is_exact(r.mat):
-        from .scalars import ExactField
-
-        fld = ExactField()
-        mat = np.kron(np.kron(fld.eye(pre), r.mat), fld.eye(post))
-    else:
-        mat = np.kron(np.kron(np.eye(pre), r.mat), np.eye(post))
-    return Operator(mat, legs)
+    if block.shape[0] != math.prod(legs):
+        raise ValueError(
+            f"block has {block.shape[0]} rows, legs {legs} need "
+            f"{math.prod(legs)}"
+        )
+    pre = math.prod(legs[: pos - 1])
+    rest = block.size // (pre * op.dim)
+    out = np.matmul(op.mat, block.reshape(pre, op.dim, rest))
+    return out.reshape(block.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +315,7 @@ def restrict_action(basis: SubspaceBasis, action: np.ndarray,
 
 def restrict(m: Operator, basis: SubspaceBasis, tol: float = 1e-9) -> Operator:
     """Matrix of m on the subspace, in the given basis."""
-    action = _dot(m.mat, basis.columns)
+    action = m.mat @ basis.columns
     s, _ = restrict_action(basis, action, tol)
     return Operator(s, (basis.dim,))
 

@@ -52,10 +52,32 @@ def test_check_lemma1_detuned_fails(capsys):
     assert json.loads(out)["pass"] is False
 
 
-def test_usage_error_is_exit_2():
+def test_usage_error_is_exit_2(capsys):
+    for argv in (["verify", "not-a-level"],
+                 ["check-relations", "--q", "1,0"],
+                 ["check-relations", "--q", "0"],
+                 ["check-ybe", "--level", "fused", "--n", "7"],
+                 ["verify", "fused-ybe", "--samples", "0"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
+        assert "error:" in capsys.readouterr().err, argv
+
+
+def test_zero_tolerance_is_honoured(capsys):
+    # a float residual is never below 0, so the check must fail
+    for argv in (["check-ybe", "--tol", "0", "--samples", "1"],
+                 ["check-dynamical", "--tol", "0"]):
+        code, out = run(capsys, *argv)
+        assert code == 1, argv
+        assert json.loads(out)["pass"] is False, argv
+
+
+def test_negative_tolerance_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
-        main(["verify", "not-a-level"])
+        main(["check-ybe", "--tol", "-1", "--samples", "1"])
     assert err.value.code == 2
+    assert "tolerance" in capsys.readouterr().err
 
 
 def test_build_r_is_byte_stable(tmp_path):
@@ -178,16 +200,16 @@ def test_check_ybe_fused_level(capsys):
     assert blob["check"] == "fused-ybe" and blob["pass"]
 
 
-def test_verify_threaded_matches_single_thread(capsys):
-    _, threaded = run(capsys, "verify", "relations", "--samples", "3",
-                      "--seed", "11")
-    _, single = run(capsys, "verify", "relations", "--samples", "3",
-                    "--seed", "11", "--single-thread")
+def test_verify_repeated_runs_match(capsys):
+    # checks run sequentially, so identical runs give identical reports
+    argv = ("verify", "relations", "--samples", "3", "--seed", "11")
+    _, first = run(capsys, *argv)
+    _, second = run(capsys, *argv)
     strip = lambda text: [
         {k: v for k, v in json.loads(line).items() if k != "elapsed_ms"}
         for line in text.strip().splitlines()
     ]
-    assert strip(threaded) == strip(single)
+    assert strip(first) == strip(second)
 
 
 def test_rep_and_basis_serialization(nf, ps):

@@ -99,3 +99,22 @@ def test_branch_invariance_documented_pair(nf, ps):
     r1 = DynamicalRMatrix(nf, 2, 1, a1).build(ps.u, ps.v, lam1)
     r2 = DynamicalRMatrix(nf, 2, 1, a2).build(ps.u, ps.v, lam2)
     assert np.allclose(r1.mat, r2.mat)
+
+
+def test_multi_weight_path_matches_genuine_weight(nf, ps, branch):
+    # two weight values whose deformations coincide, -2 and
+    # -2 + 2 pi i / a, send the check down the multi-weight path; it
+    # must then pass like the genuine single weight
+    lam = complex(0.8, -0.4)
+    dim = fused_space(nf, 2, cmath.exp(branch * lam), 1).dim
+    alias = -2.0 + 2j * cmath.pi / branch
+    weighted = WeightedSpace(dim=dim, blocks=(
+        (-2.0, tuple(range(0, dim, 2))), (alias, tuple(range(1, dim, 2)))))
+    report = check_dynamical_ybe(nf, 2, 1, ps.u, ps.v, ps.w, lam, a=branch,
+                                 weighted=weighted)
+    assert report.passed, report.residual
+    fake = WeightedSpace(dim=dim, blocks=(
+        (-2.0, tuple(range(0, dim, 2))), (-3.0, tuple(range(1, dim, 2)))))
+    report = check_dynamical_ybe(nf, 2, 1, ps.u, ps.v, ps.w, lam, a=branch,
+                                 weighted=fake)
+    assert not report.passed

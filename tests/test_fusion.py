@@ -5,7 +5,7 @@ from xrmatrix import (GENERATORS, NumericField, chain_rmatrix,
                       check_fused_intertwining, check_fused_ybe,
                       check_fusion_constant, check_hecke_relations,
                       check_projector_commutation, commutant_dimension,
-                      embed_at_leg, fused_local_rep, fused_rmatrix,
+                      fused_local_rep, fused_rmatrix,
                       fused_space, fusion_constant, hecke_generator_images,
                       q_profile, sample_params, symmetrizer,
                       tensor_projectors, tuple_rep, vector_rmatrix)
@@ -73,21 +73,29 @@ class TestChains:
                             Permutation.adjacent(2, 0))
         assert np.allclose(out.mat, vector_rmatrix(nf, ps.u, ps.v, ps.x).mat)
 
+    @staticmethod
+    def _dense_chain(nf, ps, word, tup, n):
+        """The chain along one reduced word, as a product of explicitly
+        kron-embedded elementary matrices."""
+        t = list(tup)
+        total = np.eye(4 ** n, dtype=complex)
+        for i in reversed(word):
+            r = vector_rmatrix(nf, t[i], t[i + 1], nf.q ** i * ps.x).mat
+            total = np.kron(np.kron(np.eye(4 ** i), r),
+                            np.eye(4 ** (n - i - 2))) @ total
+            t[i], t[i + 1] = t[i + 1], t[i]
+        return total
+
     def _assert_word_independent(self, nf, ps, perm, tup):
-        mats = []
         n = perm.n
-        for word in all_reduced_words(perm):
-            t = list(tup)
-            total = np.eye(4 ** n, dtype=complex)
-            for i in reversed(word):
-                r = vector_rmatrix(nf, t[i], t[i + 1], nf.q ** i * ps.x)
-                total = embed_at_leg(r, i + 1, (4,) * n).mat @ total
-                t[i], t[i + 1] = t[i + 1], t[i]
-            mats.append(total)
+        mats = [self._dense_chain(nf, ps, word, tup, n)
+                for word in all_reduced_words(perm)]
+        reference = mats[0]
+        scale = max(np.linalg.norm(reference), 1.0)
+        for m in mats[1:]:
+            assert np.linalg.norm(m - reference) < 1e-9 * scale
         canonical = chain_rmatrix(nf, tup, ps.x, perm).mat
-        scale = max(np.linalg.norm(canonical), 1.0)
-        for m in mats:
-            assert np.linalg.norm(m - canonical) < 1e-9 * scale
+        assert np.linalg.norm(canonical - reference) < 1e-9 * scale
 
     def test_reduced_word_independence(self, nf, ps):
         import itertools
@@ -104,9 +112,9 @@ class TestChains:
         tup = (ps.u, ps.v, ps.w, ps.y)
         rng = np.random.default_rng(0)
         block = rng.normal(size=(256, 5)) + 1j * rng.normal(size=(256, 5))
-        full = chain_rmatrix(nf, tup, ps.x, tau).mat @ block
+        dense = self._dense_chain(nf, ps, tau.reduced_word(), tup, 4)
         fast = apply_chain(nf, tup, ps.x, tau, block)
-        assert np.allclose(full, fast)
+        assert np.allclose(dense @ block, fast)
 
     def test_chain_intertwines_tuple_reps(self, nf, ps):
         # the chained R carries the a-twisted representation to the

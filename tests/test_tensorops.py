@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from xrmatrix import (Operator, column_space, commutant_dimension,
-                      embed_at_leg, exact_inverse, exact_solve, identity,
-                      kron, matrix_unit, restrict)
+from xrmatrix import (Operator, apply_at_legs, column_space,
+                      commutant_dimension, exact_inverse, exact_solve,
+                      identity, kron, matrix_unit, restrict)
 from xrmatrix.tensorops import SubspaceBasis, exact_all_zero
 
 
@@ -55,31 +55,67 @@ def test_kron_associative_entries(nf, ef):
     assert all((p - q_).is_zero for p, q_ in zip(lhs.mat.flat, rhs.mat.flat))
 
 
+def _kron_embedded(mat, pos, legs, eye):
+    """Reference: kron(I_pre, mat, I_post) as an explicit dense matrix."""
+    pre = int(np.prod(legs[: pos - 1]))
+    post = int(np.prod(legs[pos + 1:]))
+    return np.kron(np.kron(eye(pre), mat), eye(post))
+
+
 def test_embed_identity(nf):
-    eye = identity(nf, (4, 4))
-    out = embed_at_leg(eye, 1, (4, 4, 4))
-    assert np.array_equal(out.mat, np.eye(64))
+    block = np.random.default_rng(1).normal(size=(64, 3)) + 0j
+    out = apply_at_legs(identity(nf, (4, 4)), 1, (4, 4, 4), block)
+    assert np.array_equal(out, block)
 
 
-def test_embed_at_first_leg_is_kron(nf, ps):
+def test_embed_at_every_leg_is_kron(nf, ef):
     rng = np.random.default_rng(2)
-    r = Operator(rng.normal(size=(16, 16)) + 0j, (4, 4))
-    out = embed_at_leg(r, 1, (4, 4, 4))
-    assert np.allclose(out.mat, np.kron(r.mat, np.eye(4)))
+    for nlegs in (3, 4):
+        legs = (4,) * nlegs
+        block = rng.normal(size=(4 ** nlegs, 3)) + 1j * rng.normal(
+            size=(4 ** nlegs, 3))
+        r = Operator(rng.normal(size=(16, 16)) + 1j * rng.normal(
+            size=(16, 16)), (4, 4))
+        for pos in range(1, nlegs):
+            ref = _kron_embedded(r.mat, pos, legs, np.eye) @ block
+            assert np.allclose(apply_at_legs(r, pos, legs, block), ref)
+    # exact backend: small polynomial entries, entrywise equality
+    legs = (2, 2, 2)
+    rx = ef.zeros((4, 4))
+    rx[0, 0], rx[1, 2], rx[2, 1], rx[3, 3] = ef.q, ef.x, ef.one, ef.u
+    rx[0, 3] = ef.q * ef.x
+    r = Operator(rx, (2, 2))
+    block = ef.zeros((8, 2))
+    for i in range(8):
+        block[i, 0] = ef.from_int(i + 1)
+        block[i, 1] = ef.v * ef.from_int(i - 3)
+    for pos in (1, 2):
+        ref = _kron_embedded(rx, pos, legs, ef.eye) @ block
+        out = apply_at_legs(r, pos, legs, block)
+        assert out.dtype == object
+        assert exact_all_zero(out - ref)
 
 
 def test_embeddings_compose_as_square(nf):
     rng = np.random.default_rng(3)
     r = Operator(rng.normal(size=(16, 16)) + 0j, (4, 4))
-    emb = embed_at_leg(r, 1, (4, 4, 4))
-    squared = embed_at_leg(r @ r, 1, (4, 4, 4))
-    assert np.allclose((emb @ emb).mat, squared.mat)
+    block = rng.normal(size=(64, 5)) + 0j
+    legs = (4, 4, 4)
+    for pos in (1, 2):
+        twice = apply_at_legs(r, pos, legs, apply_at_legs(r, pos, legs, block))
+        assert np.allclose(twice, apply_at_legs(r @ r, pos, legs, block))
 
 
 def test_embed_dimension_mismatch(nf):
     r = Operator(np.eye(6, dtype=complex), (2, 3))
-    with pytest.raises(ValueError):
-        embed_at_leg(r, 1, (4, 4, 4))
+    block = np.eye(64, dtype=complex)
+    with pytest.raises(ValueError, match="do not match"):
+        apply_at_legs(r, 1, (4, 4, 4), block)
+    square = identity(nf, (4, 4))
+    with pytest.raises(ValueError, match="out of range"):
+        apply_at_legs(square, 3, (4, 4, 4), block)
+    with pytest.raises(ValueError, match="rows"):
+        apply_at_legs(square, 1, (4, 4, 4), block[:16])
 
 
 def test_column_space_dimensions(nf):
