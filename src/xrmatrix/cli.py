@@ -247,18 +247,17 @@ def _cmd_fusion_report(args) -> int:
     _fill_params(args, "q", "x", "u", "v")
     sign = _sign_value(args.sign)
     fld = NumericField(args.q)
-    tol = _tol(args, 1e-9)
+    # --tol sets the YBE verdict only; the constructions keep their guards
     payload = {"n": args.n, "sign": args.sign}
     for sg, label in ((1, "plus"), (-1, "minus")):
-        sym = symmetrizer(fld, args.n, args.x, sg, tol=tol)
-        space = fused_space(fld, args.n, args.x, sg, sym=sym, tol=tol)
+        sym = symmetrizer(fld, args.n, args.x, sg)
+        space = fused_space(fld, args.n, args.x, sg, sym=sym)
         payload[f"dim_{label}"] = space.dim
         payload[f"basis_{label}"] = basis_to_json(space.basis)
-        const = fusion_constant(fld, args.n, args.u, args.x, sg, sym=sym,
-                                tol=tol)
+        const = fusion_constant(fld, args.n, args.u, args.x, sg, sym=sym)
         payload[f"constant_{label}"] = {"re": const.real, "im": const.imag}
     _, payload["invariance_residual"] = fused_restriction(
-        fld, args.n, args.u, args.v, args.x, sign, tol=tol)
+        fld, args.n, args.u, args.v, args.x, sign)
     ps = sample_params(args.seed)
     ybe = check_fused_ybe(fld, args.n, sign, args.u, args.v, ps.w, args.x,
                           tol=_tol(args, 1e-8), seed=args.seed)

@@ -66,7 +66,9 @@ class DynamicalRMatrix:
         self.n = n
         self.sign = sign
         self.a = complex(a)
-        self.builder = fused_builder(fld, n, sign, tol=tol)
+        # restriction invariance residual of every fused factor built
+        self.residuals = []
+        self.builder = fused_builder(fld, n, sign, self.residuals, tol=tol)
 
     def deformation(self, lam: complex) -> complex:
         return cmath.exp(self.a * lam)
@@ -113,7 +115,8 @@ def check_dynamical_ybe(fld, n: int, sign: int, u, v, w, lam: complex,
     the residual equals the twisted one bitwise on identical operands.
     A fake weight (e.g. -(n+1)) makes it fail.  tol is the verdict
     threshold only; the fused construction keeps its own default
-    tolerance, as in check_fused_ybe.
+    tolerance, as in check_fused_ybe.  details carry the worst
+    restriction invariance residual of the fused factors built.
     """
     if a is None:
         a = cmath.log(fld.q)
@@ -153,5 +156,6 @@ def check_dynamical_ybe(fld, n: int, sign: int, u, v, w, lam: complex,
         seed=seed,
         details={"n": n, "sign": sign,
                  "lambda": {"re": complex(lam).real, "im": complex(lam).imag},
-                 "branch_a": {"re": complex(a).real, "im": complex(a).imag}},
+                 "branch_a": {"re": complex(a).real, "im": complex(a).imag},
+                 "restriction_residual": max(rmx.residuals)},
     )

@@ -286,22 +286,50 @@ def exact_inverse(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # restriction to invariant subspaces
 
-def restrict_action(basis: SubspaceBasis, action: np.ndarray,
-                    tol: float = 1e-9):
-    """Given the columns action = M*B, solve B*S = M*B.
+def _matmul_at_leg(mat: np.ndarray, k: int, arr: np.ndarray) -> np.ndarray:
+    """mat applied along axis k of arr, viewed as (pre, m, post); no copy
+    of arr is made."""
+    pre = math.prod(arr.shape[:k])
+    out = np.matmul(mat, arr.reshape(pre, arr.shape[k], -1))
+    return out.reshape(arr.shape[:k] + (mat.shape[0],) + arr.shape[k + 1:])
 
-    Returns (S, relative residual).  Raises ValueError naming the worst
-    offending column when the subspace is not invariant.
+
+def restrict_action(bases, action: np.ndarray, tol: float = 1e-9):
+    """Given the columns action = M*B with B = kron(B_1, ..., B_k), solve
+    B*S = M*B one tensor factor at a time.
+
+    bases is the sequence of factor bases B_1, ..., B_k; the rows of
+    action are ordered as their tensor product.  The kron is never
+    formed: numeric factors apply the left inverse pinv(B_i) along leg
+    i, exact factors call exact_solve along leg i, whose inconsistency
+    error is the invariance test (the action lies in span(B_1) (x) ...
+    (x) span(B_k) exactly when every stage is consistent).
+
+    Returns (S, relative residual), the residual being
+    ||B*S - action|| / max(||action||, ||B||) with ||B|| = prod ||B_i||.
+    Raises ValueError naming the worst offending column when the
+    subspace is not invariant.
     """
-    b = basis.columns
-    if _is_exact(b) or _is_exact(action):
-        s = exact_solve(b, action)
-        return s, 0.0
-    s, *_ = np.linalg.lstsq(b, action, rcond=None)
-    delta = b @ s - action
+    cols = [b.columns for b in bases]
+    r = action.shape[1]
+    s = action.reshape(tuple(b.shape[0] for b in cols) + (r,))
+    if _is_exact(action) or any(_is_exact(b) for b in cols):
+        for k, b in enumerate(cols):
+            moved = np.moveaxis(s, k, 0)
+            y = exact_solve(b, moved.reshape(b.shape[0], -1))
+            s = np.moveaxis(y.reshape((b.shape[1],) + moved.shape[1:]), 0, k)
+        return s.reshape(-1, r), 0.0
+    for k, b in enumerate(cols):
+        s = _matmul_at_leg(np.linalg.pinv(b), k, s)
+    rebuilt = s
+    for k, b in enumerate(cols):
+        rebuilt = _matmul_at_leg(b, k, rebuilt)
+    delta = rebuilt.reshape(action.shape)
+    delta -= action
     # the action may legitimately vanish (chains have polynomial zeros),
     # so never normalize by the action norm alone
-    scale = max(frobenius(action), frobenius(b), 1e-300)
+    scale = max(frobenius(action), math.prod(frobenius(b) for b in cols),
+                1e-300)
     rel = frobenius(delta) / scale
     if rel > tol:
         col_norms = np.linalg.norm(delta, axis=0)
@@ -310,13 +338,13 @@ def restrict_action(basis: SubspaceBasis, action: np.ndarray,
             f"subspace is not invariant: column {worst} has relative "
             f"residual {col_norms[worst] / scale:.3e}"
         )
-    return s, rel
+    return s.reshape(-1, r), rel
 
 
 def restrict(m: Operator, basis: SubspaceBasis, tol: float = 1e-9) -> Operator:
     """Matrix of m on the subspace, in the given basis."""
     action = m.mat @ basis.columns
-    s, _ = restrict_action(basis, action, tol)
+    s, _ = restrict_action((basis,), action, tol)
     return Operator(s, (basis.dim,))
 
 

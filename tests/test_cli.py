@@ -73,6 +73,27 @@ def test_zero_tolerance_is_honoured(capsys):
         assert json.loads(out)["pass"] is False, argv
 
 
+def test_zero_tolerance_sets_verdicts_only(capsys):
+    # --tol 0 must fail the verdicts, not the constructions behind them:
+    # each command reports as it does at the default tolerance, and exits 1
+    code, out = run(capsys, "fusion-report", "--n", "2", "--tol", "0")
+    assert code == 1
+    blob = json.loads(out)
+    assert blob["dim_plus"] == blob["dim_minus"] == 8
+    assert blob["invariance_residual"] < 1e-9
+    for level in ("fusion", "all"):
+        argv = ["verify", level, "--samples", "1"]
+        _, default = run(capsys, *argv)
+        code, out = run(capsys, *argv, "--tol", "0")
+        assert code == 1, level
+        lines = [json.loads(line) for line in out.strip().splitlines()]
+        want = [json.loads(line)["check"] for line in default.splitlines()]
+        assert [line["check"] for line in lines] == want, level
+        assert not any(line["pass"] for line in lines
+                       if line["check"] not in ("r-forms-equal",
+                                                "intertwining")), level
+
+
 def test_negative_tolerance_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["check-ybe", "--tol", "-1", "--samples", "1"])
@@ -134,6 +155,8 @@ def test_verify_fused_ybe_level(capsys):
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert len(lines) == 3
     assert all(line["pass"] for line in lines)
+    assert all(0 <= line["details"]["restriction_residual"] < 1e-9
+               for line in lines)
 
 
 def test_verify_all_level(capsys):
@@ -177,7 +200,9 @@ def test_check_dynamical(capsys):
     code, out = run(capsys, "check-dynamical", "--q", "1.2,0.1",
                     "--lambda", "0.4,0.2", "--n", "2", "--sign", "plus")
     assert code == 0
-    assert json.loads(out)["pass"] is True
+    blob = json.loads(out)
+    assert blob["pass"] is True
+    assert 0 <= blob["details"]["restriction_residual"] < 1e-9
 
 
 def test_fusion_report(capsys, tmp_path):

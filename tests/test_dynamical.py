@@ -54,6 +54,8 @@ def test_residual_matches_twisted_bitwise(nf, ps, branch):
     twisted = check_fused_ybe(nf, 2, 1, ps.u, ps.v, ps.w, x_eff)
     assert dyn.passed
     assert dyn.residual == twisted.residual
+    assert (dyn.details["restriction_residual"]
+            == twisted.details["restriction_residual"])
 
 
 def test_fake_weight_fails(nf, ps, branch):

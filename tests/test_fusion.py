@@ -9,7 +9,7 @@ from xrmatrix import (GENERATORS, NumericField, chain_rmatrix,
                       fused_space, fusion_constant, hecke_generator_images,
                       q_profile, sample_params, symmetrizer,
                       tensor_projectors, tuple_rep, vector_rmatrix)
-from xrmatrix.fusion import apply_chain
+from xrmatrix.fusion import apply_chain, fused_restriction
 from xrmatrix.permutations import (Permutation, all_reduced_words,
                                    concat_tuples)
 from xrmatrix.superalgebra import coproduct_image
@@ -288,10 +288,18 @@ class TestFusedYBE:
         assert report.passed
 
     def test_two_legs(self, nf, ps):
+        xs = nf.q ** 2 * ps.x
+        u, v, w = ps.u, ps.v, ps.w
         for sign in (1, -1):
-            report = check_fused_ybe(nf, 2, sign, ps.u, ps.v, ps.w, ps.x,
-                                     tol=1e-8)
+            report = check_fused_ybe(nf, 2, sign, u, v, w, ps.x, tol=1e-8)
             assert report.passed
+            # the worst invariance residual of the six fused factors
+            worst = max(
+                fused_restriction(nf, 2, a, b, y, sign)[1]
+                for a, b, y in ((v, w, ps.x), (u, w, xs), (u, v, ps.x),
+                                (u, v, xs), (u, w, ps.x), (v, w, xs)))
+            assert report.details["restriction_residual"] == worst
+            assert 0 < worst < 1e-9
 
     def test_wrong_shift_fails(self, nf, ps):
         report = check_fused_ybe(nf, 2, 1, ps.u, ps.v, ps.w, ps.x,

@@ -3,7 +3,7 @@ import pytest
 
 from xrmatrix import (Operator, apply_at_legs, column_space,
                       commutant_dimension, exact_inverse, exact_solve,
-                      identity, kron, matrix_unit, restrict)
+                      identity, kron, matrix_unit, restrict, restrict_action)
 from xrmatrix.tensorops import SubspaceBasis, exact_all_zero
 
 
@@ -166,6 +166,85 @@ def test_restrict_consistency_residual(nf):
     basis = SubspaceBasis(cols)
     out = restrict(op, basis)
     assert np.linalg.norm(mat @ cols - cols @ out.mat) < 1e-9
+
+
+def _numeric_factors(rng):
+    # unequal leg sizes, so a solve along the wrong axis cannot pass;
+    # the zero last row of b1 leaves room outside span(b1)
+    b1 = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    b1[3] = 0
+    b2 = rng.normal(size=(3, 1)) + 1j * rng.normal(size=(3, 1))
+    s0 = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
+    return b1, b2, s0
+
+
+def test_factored_restriction_matches_kron(nf):
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        b1, b2, s0 = _numeric_factors(rng)
+        block = np.kron(b1, b2)
+        action = block @ s0
+        two, rel = restrict_action((SubspaceBasis(b1), SubspaceBasis(b2)),
+                                   action)
+        one, _ = restrict_action((SubspaceBasis(block),), action)
+        assert np.linalg.norm(two - one) <= 1e-12 * np.linalg.norm(one)
+        assert np.linalg.norm(two - s0) <= 1e-12 * np.linalg.norm(s0)
+        assert rel < 1e-12
+
+
+def test_factored_restriction_outside_span_names_column(nf):
+    rng = np.random.default_rng(9)
+    b1, b2, s0 = _numeric_factors(rng)
+    bases = (SubspaceBasis(b1), SubspaceBasis(b2))
+    w = rng.normal(size=3) + 0j
+    w -= b2[:, 0] * (b2[:, 0].conj() @ w) / (b2[:, 0].conj() @ b2[:, 0])
+    leg1 = np.kron(np.eye(4)[3], rng.normal(size=3))   # outside span(b1)
+    leg2 = np.kron(b1[:, 0], w)                         # outside span(b2)
+    for col, bad in ((2, leg1), (4, leg2)):
+        action = np.kron(b1, b2) @ s0
+        action[:, col] += bad
+        with pytest.raises(ValueError, match=f"column {col} "):
+            restrict_action(bases, action)
+
+
+def _exact_factors(ef):
+    b1 = ef.zeros((3, 2))
+    b1[0, 0], b1[1, 0], b1[1, 1] = ef.q, ef.one, ef.x
+    b2 = ef.zeros((2, 1))
+    b2[0, 0], b2[1, 0] = ef.one, ef.q + ef.x
+    s0 = ef.zeros((2, 3))
+    s0[0, 0], s0[1, 0], s0[0, 2] = ef.u, ef.from_int(3), ef.q * ef.v
+    s0[1, 1] = ef.x - ef.one
+    return b1, b2, s0
+
+
+def test_exact_factored_restriction_matches_kron(ef):
+    b1, b2, s0 = _exact_factors(ef)
+    block = np.kron(b1, b2)
+    action = block @ s0
+    two, rel = restrict_action((SubspaceBasis(b1), SubspaceBasis(b2)),
+                               action)
+    one, _ = restrict_action((SubspaceBasis(block),), action)
+    assert rel == 0.0
+    assert two.shape == one.shape == s0.shape
+    assert all(a == b for a, b in zip(two.flat, one.flat))
+    assert all(a == b for a, b in zip(two.flat, s0.flat))
+
+
+def test_exact_factored_restriction_outside_span_raises(ef):
+    b1, b2, s0 = _exact_factors(ef)
+    bases = (SubspaceBasis(b1), SubspaceBasis(b2))
+    e3 = ef.zeros(3)
+    e3[2] = ef.one
+    w = ef.zeros(2)
+    w[0] = ef.q
+    leg1 = np.kron(e3, b2[:, 0])        # outside span(b1)
+    leg2 = np.kron(b1[:, 1], w)         # outside span(b2)
+    for bad in (leg1, leg2):
+        action = np.kron(b1, b2) @ s0
+        action[:, 1] = action[:, 1] + bad
+        with pytest.raises(ValueError, match="outside the span"):
+            restrict_action(bases, action)
 
 
 def test_commutant_dimensions(nf):
