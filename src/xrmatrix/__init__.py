@@ -23,8 +23,8 @@ from .rmatrix import (RMatrixBuilder, check_forms_equal, check_intertwining,
                       check_twisted_ybe, tensor_projectors, vector_builder,
                       vector_rmatrix, vector_rmatrix_spectral, ybe_residual)
 from .scalars import (ExactField, LaurentPoly, NumericField, ParamSet,
-                      RationalFunction, arith, evaluate_matrix,
-                      evaluate_scalar, paramset_violations, sample_params)
+                      RationalFunction, evaluate_matrix, evaluate_scalar,
+                      paramset_violations, sample_params)
 from .suite import LEVELS, SuiteConfig, run_suite
 from .superalgebra import (GENERATORS, ClassicalLimit, LocalRep, ProductRep,
                            check_relations, check_tensor_square,
@@ -34,6 +34,6 @@ from .superalgebra import (GENERATORS, ClassicalLimit, LocalRep, ProductRep,
 from .tensorops import (Operator, SubspaceBasis, apply_at_legs, column_space,
                         commutant_dimension, exact_inverse, exact_solve,
                         identity, kron, matrix_rank, matrix_unit, residual,
-                        restrict, restrict_action)
+                        restrict, restrict_action, shared_leg_product)
 
 __version__ = "0.1.0"

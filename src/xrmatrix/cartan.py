@@ -3,11 +3,14 @@
 The ambient space is spanned by eps_0 .. eps_4 with the diagonal form
 (eps_0,eps_0)=0, (eps_1,eps_1)=(eps_2,eps_2)=1,
 (eps_3,eps_3)=(eps_4,eps_4)=-1.  Everything below is computed from that
-form, never hardcoded.
+form, never hardcoded.  The integer lookups (parity, theta and the two
+pairings) are cached: they are pure functions of small indices, and every
+R-matrix and representation build calls them many times.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 # (eps_i, eps_i) for i = 0..4
@@ -46,6 +49,7 @@ def simple_root(i: int) -> WeightVector:
     raise ValueError("simple root index out of range")
 
 
+@functools.cache
 def parity(i: int) -> int:
     """Root parity (4 - (alpha_i, alpha_i)^2) / 4, always 0 or 1."""
     a = simple_root(i)
@@ -55,6 +59,7 @@ def parity(i: int) -> int:
     return int(val)
 
 
+@functools.cache
 def theta(i: int) -> int:
     """Grading of the basis vector e_i: (1 - (eps_i, eps_i)) / 2."""
     if not 1 <= i <= 4:
@@ -63,6 +68,7 @@ def theta(i: int) -> int:
     return int(val)
 
 
+@functools.cache
 def root_pairing(i: int, j: int) -> int:
     """(alpha_i, alpha_j); integral for these roots."""
     val = bilinear(simple_root(i), simple_root(j))
@@ -71,6 +77,7 @@ def root_pairing(i: int, j: int) -> int:
     return int(val)
 
 
+@functools.cache
 def weight_pairing(i: int, j: int) -> int:
     """(alpha_i, eps_j); the K_i eigenvalue exponent on e_j."""
     val = bilinear(simple_root(i), epsilon(j))

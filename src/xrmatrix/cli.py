@@ -19,7 +19,7 @@ from .reports import basis_to_json, dump, matrix_to_json
 from .rmatrix import (check_twisted_ybe, vector_builder, vector_rmatrix,
                       vector_rmatrix_spectral)
 from .scalars import ExactField, NumericField, sample_params
-from .suite import LEVELS, SuiteConfig, run_suite
+from .suite import LEVELS, SuiteConfig, _timed, run_suite
 from .superalgebra import check_relations, check_tensor_square, vector_rep
 
 
@@ -103,6 +103,11 @@ def _fill_params(args, *names):
     return ps
 
 
+def _run(check, *args, **kwargs):
+    """Run one check and stamp its wall time, as run_suite does."""
+    return _timed(None, lambda: check(*args, **kwargs))()
+
+
 def _emit(report, stream):
     stream.write(json.dumps(report.to_json(), sort_keys=True) + "\n")
     stream.flush()
@@ -167,14 +172,14 @@ def _cmd_check_relations(args) -> int:
     tol = _tol(args, 1e-12)
     if args.backend == "exact":
         fld = ExactField()
-        report = check_relations(vector_rep(fld, fld.x), tol=tol)
+        report = _run(check_relations, vector_rep(fld, fld.x), tol=tol)
     else:
         _fill_params(args, "q", "x")
         fld = NumericField(args.q)
-        report = check_relations(vector_rep(fld, args.x), tol=tol,
-                                 params={"q": [args.q.real, args.q.imag],
-                                         "x": [args.x.real, args.x.imag]},
-                                 seed=args.seed)
+        report = _run(check_relations, vector_rep(fld, args.x), tol=tol,
+                      params={"q": [args.q.real, args.q.imag],
+                              "x": [args.x.real, args.x.imag]},
+                      seed=args.seed)
     _emit(report, sys.stdout)
     return 0 if report.passed else 1
 
@@ -183,8 +188,8 @@ def _cmd_check_lemma1(args) -> int:
     tol = _tol(args, 1e-10)
     _fill_params(args, "q", "x", "y")
     fld = NumericField(args.q)
-    report = check_tensor_square(fld, args.x, args.y, tol=tol,
-                                 seed=args.seed)
+    report = _run(check_tensor_square, fld, args.x, args.y, tol=tol,
+                  seed=args.seed)
     _emit(report, sys.stdout)
     return 0 if report.passed else 1
 
@@ -215,12 +220,12 @@ def _cmd_check_ybe(args) -> int:
     if args.backend == "exact":
         fld = ExactField()
         if args.level == "box":
-            report = check_twisted_ybe(fld, vector_builder(fld), fld.u,
-                                       fld.v, fld.w, fld.x,
-                                       tol=_tol(args, 1e-9), name="box-ybe")
+            report = _run(check_twisted_ybe, fld, vector_builder(fld), fld.u,
+                          fld.v, fld.w, fld.x, tol=_tol(args, 1e-9),
+                          name="box-ybe")
         else:
-            report = check_fused_ybe(fld, args.n, sign, fld.u, fld.v, fld.w,
-                                     fld.x, tol=_tol(args, 1e-8))
+            report = _run(check_fused_ybe, fld, args.n, sign, fld.u, fld.v,
+                          fld.w, fld.x, tol=_tol(args, 1e-8))
         _emit(report, sys.stdout)
         return 0 if report.passed else 1
     for seed in range(args.seed, args.seed + args.samples):
@@ -231,13 +236,12 @@ def _cmd_check_ybe(args) -> int:
         w = args.w if args.w is not None else ps.w
         x = args.x if args.x is not None else ps.x
         if args.level == "box":
-            report = check_twisted_ybe(fld, vector_builder(fld), u, v, w, x,
-                                       tol=_tol(args, 1e-9), params=ps,
-                                       seed=seed, name="box-ybe")
+            report = _run(check_twisted_ybe, fld, vector_builder(fld), u, v,
+                          w, x, tol=_tol(args, 1e-9), params=ps, seed=seed,
+                          name="box-ybe")
         else:
-            report = check_fused_ybe(fld, args.n, sign, u, v, w, x,
-                                     tol=_tol(args, 1e-8), params=ps,
-                                     seed=seed)
+            report = _run(check_fused_ybe, fld, args.n, sign, u, v, w, x,
+                          tol=_tol(args, 1e-8), params=ps, seed=seed)
         _emit(report, sys.stdout)
         ok = ok and report.passed
     return 0 if ok else 1
@@ -259,9 +263,10 @@ def _cmd_fusion_report(args) -> int:
     _, payload["invariance_residual"] = fused_restriction(
         fld, args.n, args.u, args.v, args.x, sign)
     ps = sample_params(args.seed)
-    ybe = check_fused_ybe(fld, args.n, sign, args.u, args.v, ps.w, args.x,
-                          tol=_tol(args, 1e-8), seed=args.seed)
+    ybe = _run(check_fused_ybe, fld, args.n, sign, args.u, args.v, ps.w,
+               args.x, tol=_tol(args, 1e-8), seed=args.seed)
     payload["ybe_residual"] = ybe.residual
+    payload["ybe_elapsed_ms"] = ybe.elapsed_ms
     if args.json_out:
         dump(payload, args.json_out)
     else:
@@ -276,9 +281,9 @@ def _cmd_check_dynamical(args) -> int:
         lam = complex(0.7, 0.3)
     fld = NumericField(args.q)
     a = cmath.log(fld.q)
-    report = check_dynamical_ybe(fld, args.n, _sign_value(args.sign),
-                                 args.u, args.v, args.w, lam, a=a,
-                                 tol=_tol(args, 1e-8), seed=args.seed)
+    report = _run(check_dynamical_ybe, fld, args.n, _sign_value(args.sign),
+                  args.u, args.v, args.w, lam, a=a, tol=_tol(args, 1e-8),
+                  seed=args.seed)
     _emit(report, sys.stdout)
     return 0 if report.passed else 1
 

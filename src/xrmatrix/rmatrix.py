@@ -16,10 +16,9 @@ import numpy as np
 
 from .cartan import theta
 from .reports import CheckReport
-from .scalars import ExactField
 from .superalgebra import GENERATORS, tensor_square_bases, tuple_rep
 from .tensorops import (Operator, _is_exact, apply_at_legs, exact_inverse,
-                        residual)
+                        residual, shared_leg_product)
 
 
 def tensor_projectors(fld, x):
@@ -132,30 +131,35 @@ def vector_builder(fld) -> RMatrixBuilder:
     )
 
 
+def _ybe_sides(mats):
+    """The two sides A_12 (B_23 C_12) and D_23 (E_12 F_23) as d^3 x d^3
+    arrays; each is one expression, so its inner product is freed as soon
+    as the outer factor has been applied."""
+    a, b, c, d_, e, f = mats
+    d = a.legs[0]
+    legs = (d, d, d)
+    lhs = apply_at_legs(a, 1, legs, shared_leg_product(b, 2, c))
+    rhs = apply_at_legs(d_, 2, legs, shared_leg_product(e, 1, f))
+    return lhs, rhs
+
+
 def ybe_residual(mats) -> float:
     """Relative residual of the twisted YBE for six prebuilt factors.
 
     mats = (R(v,w;x), R(u,w;x'), R(u,v;x), R(u,v;x'), R(u,w;x),
-    R(v,w;x')) where x' is the middle-leg parameter.  Each side is the
-    d^3 identity with its three factors applied leg by leg.  The residual is
-    normalized by the composite sides being compared, which keeps the
-    deliberate-failure controls well away from the pass thresholds.
+    R(v,w;x')) where x' is the middle-leg parameter.  The sides are
+    contracted as lhs = A_12 (B_23 C_12) and rhs = D_23 (E_12 F_23): the
+    inner pair shares one leg and costs d^7 multiply-adds
+    (shared_leg_product), the outer factor costs d^8 (apply_at_legs), so
+    a side costs d^8 + d^7 and no d^3 x d^3 identity is formed.  The
+    residual is normalized by the composite sides being compared, which
+    keeps the deliberate-failure controls well away from the pass
+    thresholds.
     """
-    a, b, c, d_, e, f = mats
-    d = a.legs[0]
-    legs = (d, d, d)
-    eye = ExactField().eye(d ** 3) if _is_exact(a.mat) else np.eye(d ** 3)
-
-    def side(*factors):
-        # factors as (operator, position), rightmost applied first
-        out = eye
-        for op, pos in reversed(factors):
-            out = apply_at_legs(op, pos, legs, out)
-        return out
-
-    lhs = side((a, 1), (b, 2), (c, 1))
-    rhs = side((d_, 2), (e, 1), (f, 2))
-    return residual(lhs - rhs, [lhs])
+    lhs, delta = _ybe_sides(mats)
+    # in place: rhs - lhs needs no third d^3 x d^3 array
+    delta -= lhs
+    return residual(delta, [lhs])
 
 
 def twisted_ybe_factors(fld, builder: RMatrixBuilder, u, v, w, x,

@@ -396,37 +396,6 @@ class NumericField:
         return np.eye(n, dtype=np.complex128)
 
 
-def arith(a, b, op: str):
-    """Field operation on two same-backend scalars.
-
-    op is one of add, sub, mul, div.  Division by zero raises
-    ZeroDivisionError; mixing backends raises TypeError.
-    """
-    exact_a = isinstance(a, RationalFunction)
-    exact_b = isinstance(b, RationalFunction)
-    if exact_a != exact_b:
-        # allow plain ints on either side: they live in both fields
-        if isinstance(a, int) and exact_b:
-            a, exact_a = RationalFunction.from_int(a), True
-        elif isinstance(b, int) and exact_a:
-            b, exact_b = RationalFunction.from_int(b), True
-        else:
-            raise TypeError("backend mismatch between operands")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if exact_a:
-            return a / b
-        if abs(b) < 1e-280:
-            raise ZeroDivisionError("numeric division by (near-)zero")
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 @dataclass(frozen=True)
 class ParamSet:
     """A generic numeric parameter point, deterministic per seed."""

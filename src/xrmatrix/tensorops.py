@@ -8,7 +8,8 @@ Numeric matrices are complex128 arrays; exact matrices are object
 arrays of RationalFunction entries.  The @ operator (np.matmul) serves
 both: on object arrays it dispatches to the Python operators.  A
 two-leg operator acts on a tensor product through apply_at_legs, which
-never forms the identity-padded embedding.
+never forms the identity-padded embedding; the product of two two-leg
+operators that overlap on three legs comes from shared_leg_product.
 """
 
 from __future__ import annotations
@@ -143,6 +144,41 @@ def apply_at_legs(op: Operator, pos: int, legs,
     rest = block.size // (pre * op.dim)
     out = np.matmul(op.mat, block.reshape(pre, op.dim, rest))
     return out.reshape(block.shape)
+
+
+def shared_leg_product(first: Operator, pos: int,
+                       second: Operator) -> np.ndarray:
+    """The three-leg matrix of first on legs (pos, pos+1) times second on
+    the other two legs: X_12 Y_23 for pos 1, X_23 Y_12 for pos 2.
+
+    The two factors share only the middle leg, so the product is one
+    broadcast np.matmul over that leg, d1 d2 d3 * d1 d2 d3 * d2
+    multiply-adds (d^7 for equal legs) against d^8 for applying both
+    factors to an identity.  The operands are viewed so that the result
+    comes out in the big-endian layout with no transpose of the d^3 x d^3
+    array, on complex and object arrays alike.
+    """
+    if pos == 1:
+        (d1, d2), (shared, d3) = first.legs, second.legs
+    elif pos == 2:
+        (d2, d3), (d1, shared) = first.legs, second.legs
+    else:
+        raise ValueError(f"position {pos} out of range for 3 legs")
+    if shared != d2:
+        raise ValueError(
+            f"operator legs {first.legs} and {second.legs} do not share "
+            f"the middle leg at position {pos}"
+        )
+    n = d1 * d2 * d3
+    if pos == 1:
+        # out[i1 i2, i3, k1, k2 k3] = sum_m X[i1 i2, k1, m] Y[i3, m, k2 k3]
+        x = first.mat.reshape(d1 * d2, 1, d1, d2)
+        y = second.mat.reshape(d2, d3, d2 * d3).transpose(1, 0, 2)
+    else:
+        # out[i1, i2 i3, k1 k2, k3] = sum_m Y[i1, k1 k2, m] X[i2 i3, m, k3]
+        x = second.mat.reshape(d1, d2, d1 * d2).transpose(0, 2, 1)[:, None]
+        y = first.mat.reshape(d2 * d3, d2, d3)
+    return np.matmul(x, y).reshape(n, n)
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,7 @@ def test_check_dynamical(capsys):
     blob = json.loads(out)
     assert blob["pass"] is True
     assert 0 <= blob["details"]["restriction_residual"] < 1e-9
+    assert blob["elapsed_ms"] > 0
 
 
 def test_fusion_report(capsys, tmp_path):
@@ -215,6 +216,7 @@ def test_fusion_report(capsys, tmp_path):
     assert blob["basis_plus"]["shape"] == [16, 8]
     assert blob["invariance_residual"] < 1e-9
     assert blob["ybe_residual"] < 1e-8
+    assert blob["ybe_elapsed_ms"] > 0
 
 
 def test_check_ybe_fused_level(capsys):
@@ -223,6 +225,8 @@ def test_check_ybe_fused_level(capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob["check"] == "fused-ybe" and blob["pass"]
+    # single-check commands time their reports as verify does
+    assert blob["elapsed_ms"] > 0
 
 
 def test_verify_repeated_runs_match(capsys):

@@ -1,14 +1,24 @@
 import numpy as np
 import pytest
 
-from xrmatrix import (NumericField, check_forms_equal, check_intertwining,
-                      check_twisted_ybe, sample_params, tensor_projectors,
-                      tuple_rep, vector_builder, vector_rmatrix,
-                      vector_rmatrix_spectral)
+from xrmatrix import (NumericField, Operator, check_forms_equal,
+                      check_intertwining, check_twisted_ybe, sample_params,
+                      tensor_projectors, tuple_rep, vector_builder,
+                      vector_rmatrix, vector_rmatrix_spectral, ybe_residual)
+from xrmatrix.rmatrix import _ybe_sides, twisted_ybe_factors
+from xrmatrix.tensorops import exact_all_zero
 
 
 def _flat(i, j):
     return 4 * (i - 1) + (j - 1)
+
+
+def _kron_sides(mats, eye):
+    """Reference: both YBE sides as products of explicit kron embeddings."""
+    a, b, c, d, e, f = (m.mat for m in mats)
+    at12 = lambda m: np.kron(m, eye)
+    at23 = lambda m: np.kron(eye, m)
+    return at12(a) @ at23(b) @ at12(c), at23(d) @ at12(e) @ at23(f)
 
 
 def _basis_vec(i, j):
@@ -168,3 +178,39 @@ class TestVectorYBE:
         report = check_twisted_ybe(ef, vector_builder(ef), ef.u, ef.v, ef.w,
                                    ef.x)
         assert report.passed and report.exact
+
+    def test_sides_match_kron_embedded_products(self, ef):
+        # random, non-symmetric factors: no R-matrix symmetry can hide a
+        # leg-order slip in the contraction
+        rng = np.random.default_rng(5)
+        mats = [Operator(rng.normal(size=(9, 9))
+                         + 1j * rng.normal(size=(9, 9)), (3, 3))
+                for _ in range(6)]
+        refs = _kron_sides(mats, np.eye(3))
+        for out, ref in zip(_ybe_sides(mats), refs):
+            assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+        lhs, rhs = refs
+        expected = np.linalg.norm(rhs - lhs) / np.linalg.norm(lhs)
+        assert ybe_residual(mats) == pytest.approx(expected, rel=1e-12)
+        exact = []
+        for ints in rng.integers(-3, 4, size=(6, 9, 9)):
+            m = ef.zeros((9, 9))
+            for (i, j), k in np.ndenumerate(ints):
+                m[i, j] = ef.from_int(int(k))
+            exact.append(Operator(m, (3, 3)))
+        for out, ref in zip(_ybe_sides(exact), _kron_sides(exact, ef.eye(3))):
+            assert out.dtype == object
+            assert exact_all_zero(out - ref)
+
+    def test_swapped_factors_fail(self, nf, ps, ef):
+        mats = twisted_ybe_factors(nf, vector_builder(nf), ps.u, ps.v, ps.w,
+                                   ps.x)
+        assert ybe_residual(mats) < 1e-12
+        for i, j in ((0, 2), (3, 5), (1, 4)):
+            swapped = list(mats)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            assert ybe_residual(swapped) > 1e-3
+        exact = list(twisted_ybe_factors(ef, vector_builder(ef), ef.u, ef.v,
+                                         ef.w, ef.x))
+        exact[0], exact[2] = exact[2], exact[0]
+        assert ybe_residual(exact) == float("inf")

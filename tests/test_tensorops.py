@@ -3,7 +3,8 @@ import pytest
 
 from xrmatrix import (Operator, apply_at_legs, column_space,
                       commutant_dimension, exact_inverse, exact_solve,
-                      identity, kron, matrix_unit, restrict, restrict_action)
+                      identity, kron, matrix_unit, restrict, restrict_action,
+                      shared_leg_product)
 from xrmatrix.tensorops import SubspaceBasis, exact_all_zero
 
 
@@ -116,6 +117,42 @@ def test_embed_dimension_mismatch(nf):
         apply_at_legs(square, 3, (4, 4, 4), block)
     with pytest.raises(ValueError, match="rows"):
         apply_at_legs(square, 1, (4, 4, 4), block[:16])
+
+
+def test_shared_leg_product_is_kron(ef):
+    rng = np.random.default_rng(4)
+
+    def numeric(legs):
+        n = int(np.prod(legs))
+        return Operator(rng.normal(size=(n, n))
+                        + 1j * rng.normal(size=(n, n)), legs)
+
+    def exact(legs):
+        n = int(np.prod(legs))
+        mat = ef.zeros((n, n))
+        for (i, j), k in np.ndenumerate(rng.integers(-3, 4, size=(n, n))):
+            mat[i, j] = ef.from_int(int(k))
+        return Operator(mat, legs)
+
+    for legs in ((3, 3, 3), (2, 3, 4)):
+        x12, y23 = numeric(legs[:2]), numeric(legs[1:])
+        k12 = _kron_embedded(x12.mat, 1, legs, np.eye)
+        k23 = _kron_embedded(y23.mat, 2, legs, np.eye)
+        for out, ref in ((shared_leg_product(x12, 1, y23), k12 @ k23),
+                         (shared_leg_product(y23, 2, x12), k23 @ k12)):
+            assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+    legs = (3, 3, 3)
+    x12, y23 = exact(legs[:2]), exact(legs[1:])
+    k12 = _kron_embedded(x12.mat, 1, legs, ef.eye)
+    k23 = _kron_embedded(y23.mat, 2, legs, ef.eye)
+    for out, ref in ((shared_leg_product(x12, 1, y23), k12 @ k23),
+                     (shared_leg_product(y23, 2, x12), k23 @ k12)):
+        assert out.dtype == object
+        assert exact_all_zero(out - ref)
+    with pytest.raises(ValueError, match="share"):
+        shared_leg_product(numeric((2, 3)), 1, numeric((2, 3)))
+    with pytest.raises(ValueError, match="out of range"):
+        shared_leg_product(x12, 3, y23)
 
 
 def test_column_space_dimensions(nf):
