@@ -7,20 +7,17 @@ Exit codes: 0 all checks passed, 1 some check failed, 2 usage error
 from __future__ import annotations
 
 import argparse
-import cmath
+import contextlib
 import json
 import sys
 
 from .cartan import cartan_json
-from .dynamical import check_dynamical_ybe
-from .fusion import (_MAX_SYMMETRIC_GROUP, check_fused_ybe, fused_restriction,
-                     fused_space, fusion_constant, symmetrizer)
+from .fusion import (_MAX_SYMMETRIC_GROUP, fused_restriction, fused_space,
+                     fusion_constant, symmetrizer)
 from .reports import basis_to_json, dump, matrix_to_json
-from .rmatrix import (check_twisted_ybe, vector_builder, vector_rmatrix,
-                      vector_rmatrix_spectral)
-from .scalars import ExactField, NumericField, sample_params
-from .suite import LEVELS, SuiteConfig, _timed, run_suite
-from .superalgebra import check_relations, check_tensor_square, vector_rep
+from .rmatrix import vector_rmatrix, vector_rmatrix_spectral
+from .scalars import ExactField, NumericField
+from .suite import CHECKS, LEVELS, SuiteConfig, run_suite
 
 
 def parse_complex(text: str) -> complex:
@@ -65,8 +62,11 @@ def _add_common(p, *names):
     for name in names:
         if name == "q":
             p.add_argument("--q", type=_parse_q, default=None)
-        elif name in ("u", "v", "w", "x", "y", "lambda"):
+        elif name in ("u", "v", "w", "x", "y"):
             p.add_argument(f"--{name}", type=parse_complex, default=None)
+        elif name == "lambda":
+            p.add_argument("--lambda", type=parse_complex,
+                           default=complex(0.7, 0.3))
         elif name == "backend":
             p.add_argument("--backend", choices=("numeric", "exact"),
                            default="numeric")
@@ -86,26 +86,35 @@ def _add_common(p, *names):
             p.add_argument("--output", default=None)
 
 
-def _sign_value(text: str) -> int:
-    return 1 if text == "plus" else -1
+# the single-check commands: each runs one row of the suite's check table
+_CHECK_ROWS = {"check-relations": "relations", "check-lemma1": "lemma1",
+               "check-dynamical": "dynamical-ybe"}
 
 
-def _tol(args, default: float) -> float:
-    return default if args.tol is None else args.tol
+def _check_row(args) -> str:
+    if args.command == "check-ybe":
+        return "box-ybe" if args.level == "box" else "fused-ybe"
+    return _CHECK_ROWS[args.command]
 
 
-def _fill_params(args, *names):
-    """Substitute seed-sampled values for omitted numeric parameters."""
-    ps = sample_params(args.seed)
-    for name in names:
-        if getattr(args, name, None) is None:
-            setattr(args, name, getattr(ps, name))
-    return ps
+_EXACT_ROWS = {c.name for c in CHECKS if c.exact}
 
 
-def _run(check, *args, **kwargs):
-    """Run one check and stamp its wall time, as run_suite does."""
-    return _timed(None, lambda: check(*args, **kwargs))()
+def _config(args) -> SuiteConfig:
+    """The suite configuration of a command; point flags such as --q
+    replace those fields of each seed's ParamSet."""
+    opts = vars(args)
+    return SuiteConfig(
+        backend=opts.get("backend", "numeric"),
+        tol=opts.get("tol"),
+        seed=args.seed,
+        samples=opts.get("samples", 1),
+        n=opts.get("n", 2),
+        sign=1 if opts.get("sign", "plus") == "plus" else -1,
+        negative_controls=opts.get("negative_controls", False),
+        point={k: opts[k] for k in "quvwxy" if opts.get(k) is not None},
+        lam=opts.get("lambda"),
+    )
 
 
 def _emit(report, stream):
@@ -168,32 +177,6 @@ def _cmd_dump_cartan(args) -> int:
     return 0
 
 
-def _cmd_check_relations(args) -> int:
-    tol = _tol(args, 1e-12)
-    if args.backend == "exact":
-        fld = ExactField()
-        report = _run(check_relations, vector_rep(fld, fld.x), tol=tol)
-    else:
-        _fill_params(args, "q", "x")
-        fld = NumericField(args.q)
-        report = _run(check_relations, vector_rep(fld, args.x), tol=tol,
-                      params={"q": [args.q.real, args.q.imag],
-                              "x": [args.x.real, args.x.imag]},
-                      seed=args.seed)
-    _emit(report, sys.stdout)
-    return 0 if report.passed else 1
-
-
-def _cmd_check_lemma1(args) -> int:
-    tol = _tol(args, 1e-10)
-    _fill_params(args, "q", "x", "y")
-    fld = NumericField(args.q)
-    report = _run(check_tensor_square, fld, args.x, args.y, tol=tol,
-                  seed=args.seed)
-    _emit(report, sys.stdout)
-    return 0 if report.passed else 1
-
-
 def _cmd_build_r(args) -> int:
     builder = (vector_rmatrix if args.form == "explicit"
                else vector_rmatrix_spectral)
@@ -201,9 +184,9 @@ def _cmd_build_r(args) -> int:
         fld = ExactField()
         op = builder(fld, fld.u, fld.v, fld.x)
     else:
-        _fill_params(args, "q", "u", "v", "x")
-        fld = NumericField(args.q)
-        op = builder(fld, args.u, args.v, args.x)
+        ps = _config(args).params(args.seed)
+        fld = NumericField(ps.q)
+        op = builder(fld, ps.u, ps.v, ps.x)
     payload = matrix_to_json(op.mat, op.legs)
     payload["form"] = args.form
     payload["backend"] = args.backend
@@ -214,57 +197,23 @@ def _cmd_build_r(args) -> int:
     return 0
 
 
-def _cmd_check_ybe(args) -> int:
-    sign = _sign_value(args.sign)
-    ok = True
-    if args.backend == "exact":
-        fld = ExactField()
-        if args.level == "box":
-            report = _run(check_twisted_ybe, fld, vector_builder(fld), fld.u,
-                          fld.v, fld.w, fld.x, tol=_tol(args, 1e-9),
-                          name="box-ybe")
-        else:
-            report = _run(check_fused_ybe, fld, args.n, sign, fld.u, fld.v,
-                          fld.w, fld.x, tol=_tol(args, 1e-8))
-        _emit(report, sys.stdout)
-        return 0 if report.passed else 1
-    for seed in range(args.seed, args.seed + args.samples):
-        ps = sample_params(seed)
-        fld = NumericField(args.q if args.q is not None else ps.q)
-        u = args.u if args.u is not None else ps.u
-        v = args.v if args.v is not None else ps.v
-        w = args.w if args.w is not None else ps.w
-        x = args.x if args.x is not None else ps.x
-        if args.level == "box":
-            report = _run(check_twisted_ybe, fld, vector_builder(fld), u, v,
-                          w, x, tol=_tol(args, 1e-9), params=ps, seed=seed,
-                          name="box-ybe")
-        else:
-            report = _run(check_fused_ybe, fld, args.n, sign, u, v, w, x,
-                          tol=_tol(args, 1e-8), params=ps, seed=seed)
-        _emit(report, sys.stdout)
-        ok = ok and report.passed
-    return 0 if ok else 1
-
-
 def _cmd_fusion_report(args) -> int:
-    _fill_params(args, "q", "x", "u", "v")
-    sign = _sign_value(args.sign)
-    fld = NumericField(args.q)
-    # --tol sets the YBE verdict only; the constructions keep their guards
+    cfg = _config(args)
+    ps = cfg.params(args.seed)
+    fld = NumericField(ps.q)
     payload = {"n": args.n, "sign": args.sign}
     for sg, label in ((1, "plus"), (-1, "minus")):
-        sym = symmetrizer(fld, args.n, args.x, sg)
-        space = fused_space(fld, args.n, args.x, sg, sym=sym)
+        sym = symmetrizer(fld, args.n, ps.x, sg)
+        space = fused_space(fld, args.n, ps.x, sg, sym=sym)
         payload[f"dim_{label}"] = space.dim
         payload[f"basis_{label}"] = basis_to_json(space.basis)
-        const = fusion_constant(fld, args.n, args.u, args.x, sg, sym=sym)
+        const = fusion_constant(fld, args.n, ps.u, ps.x, sg, sym=sym)
         payload[f"constant_{label}"] = {"re": const.real, "im": const.imag}
     _, payload["invariance_residual"] = fused_restriction(
-        fld, args.n, args.u, args.v, args.x, sign)
-    ps = sample_params(args.seed)
-    ybe = _run(check_fused_ybe, fld, args.n, sign, args.u, args.v, ps.w,
-               args.x, tol=_tol(args, 1e-8), seed=args.seed)
+        fld, args.n, ps.u, ps.v, ps.x, cfg.sign)
+    # --tol sets the YBE verdict only; the constructions keep their guards.
+    # fusion-report has no --samples: the level runs at --seed alone
+    ybe, = run_suite("fused-ybe", cfg)
     payload["ybe_residual"] = ybe.residual
     payload["ybe_elapsed_ms"] = ybe.elapsed_ms
     if args.json_out:
@@ -274,59 +223,39 @@ def _cmd_fusion_report(args) -> int:
     return 0 if ybe.passed else 1
 
 
-def _cmd_check_dynamical(args) -> int:
-    _fill_params(args, "q", "u", "v", "w")
-    lam = getattr(args, "lambda")
-    if lam is None:
-        lam = complex(0.7, 0.3)
-    fld = NumericField(args.q)
-    a = cmath.log(fld.q)
-    report = _run(check_dynamical_ybe, fld, args.n, _sign_value(args.sign),
-                  args.u, args.v, args.w, lam, a=a, tol=_tol(args, 1e-8),
-                  seed=args.seed)
-    _emit(report, sys.stdout)
-    return 0 if report.passed else 1
-
-
-def _cmd_verify(args) -> int:
-    cfg = SuiteConfig(
-        backend=args.backend,
-        tol=args.tol,
-        seed=args.seed,
-        samples=args.samples,
-        n=args.n,
-        sign=_sign_value(args.sign),
-        negative_controls=args.negative_controls,
-    )
-    stream = sys.stdout
-    handle = None
-    if args.output:
-        handle = open(args.output, "w", encoding="utf-8")
-        stream = handle
-    try:
-        reports = run_suite(args.level, cfg,
+def _cmd_run(args) -> int:
+    """verify runs a level of the check table, check-* commands one row."""
+    if args.command == "verify":
+        level, names = args.level, None
+    else:
+        level, names = "all", (_check_row(args),)
+    path = vars(args).get("output")
+    with (open(path, "w", encoding="utf-8") if path
+          else contextlib.nullcontext(sys.stdout)) as stream:
+        reports = run_suite(level, _config(args), names=names,
                             emit=lambda r: _emit(r, stream))
-    finally:
-        if handle is not None:
-            handle.close()
     return 0 if all(r.passed for r in reports) else 1
 
 
 _COMMANDS = {
     "dump-cartan": _cmd_dump_cartan,
-    "check-relations": _cmd_check_relations,
-    "check-lemma1": _cmd_check_lemma1,
+    "check-relations": _cmd_run,
+    "check-lemma1": _cmd_run,
     "build-r": _cmd_build_r,
-    "check-ybe": _cmd_check_ybe,
+    "check-ybe": _cmd_run,
     "fusion-report": _cmd_fusion_report,
-    "check-dynamical": _cmd_check_dynamical,
-    "verify": _cmd_verify,
+    "check-dynamical": _cmd_run,
+    "verify": _cmd_run,
 }
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if (vars(args).get("backend") == "exact" and args.command.startswith(
+            "check-") and _check_row(args) not in _EXACT_ROWS):
+        parser.error(f"{args.command}: the exact backend does not reach "
+                     f"{_check_row(args)}; use --backend numeric")
     try:
         return _COMMANDS[args.command](args)
     except OSError as err:

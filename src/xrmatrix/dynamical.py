@@ -106,8 +106,7 @@ def weighted_middle_factor(rmx: DynamicalRMatrix, weighted: WeightedSpace,
 
 def check_dynamical_ybe(fld, n: int, sign: int, u, v, w, lam: complex,
                         a: complex = None, tol: float = 1e-8,
-                        weighted: WeightedSpace = None,
-                        params="symbolic", seed: int = -1) -> CheckReport:
+                        weighted: WeightedSpace = None) -> CheckReport:
     """The quantum dynamical YBE over the weight decomposition.
 
     With the genuine single weight -n this reduces to the twisted YBE
@@ -152,8 +151,7 @@ def check_dynamical_ybe(fld, n: int, sign: int, u, v, w, lam: complex,
         # ||R (x) I_d|| = sqrt(d) ||R|| for each of the two 12-slot factors
         res = residual(lhs - rhs, [r_vw, m23_uw, r_uv]) / d
     return CheckReport(
-        name="dynamical-ybe", params=params, residual=res, passed=res < tol,
-        seed=seed,
+        name="dynamical-ybe", residual=res, passed=res < tol,
         details={"n": n, "sign": sign,
                  "lambda": {"re": complex(lam).real, "im": complex(lam).imag},
                  "branch_a": {"re": complex(a).real, "im": complex(a).imag},

@@ -106,8 +106,7 @@ def hecke_generator_images(fld, n: int, x, tol: float = 1e-9):
             for i, h in enumerate(_hecke_pair_images(fld, n, x, tol))]
 
 
-def check_hecke_relations(fld, n: int, x, tol: float = 1e-10,
-                          params="symbolic", seed: int = -1) -> CheckReport:
+def check_hecke_relations(fld, n: int, x, tol: float = 1e-10) -> CheckReport:
     """Quadratic, braid, and distant-commutation relations for pi(h_i).
 
     Every product applies a two-leg image to the embedded image of
@@ -145,9 +144,8 @@ def check_hecke_relations(fld, n: int, x, tol: float = 1e-10,
             note(f"commute h_{i+1} h_{j+1}",
                  act(i, hs[j]) - act(j, hs[i]), [hs[i], hs[j]])
     passed = (worst == 0.0) if exact else (worst < tol)
-    return CheckReport(name="hecke-relations", params=params, residual=worst,
-                       passed=passed, exact=exact, seed=seed,
-                       details={"n": n, "failed": failed})
+    return CheckReport(name="hecke-relations", residual=worst, passed=passed,
+                       exact=exact, details={"n": n, "failed": failed})
 
 
 @dataclass(frozen=True)
@@ -236,8 +234,7 @@ def fusion_constant(fld, n: int, u, x, sign: int, sym: Symmetrizer = None,
 
 
 def check_fusion_constant(fld, n: int, x, sign: int, u_probes, x_probes,
-                          tol: float = 1e-9, params="symbolic",
-                          seed: int = -1) -> CheckReport:
+                          tol: float = 1e-9) -> CheckReport:
     """Constant extraction plus independence from the u and x probes.
 
     tol sets the verdict only; the constructions keep their defaults.
@@ -259,8 +256,7 @@ def check_fusion_constant(fld, n: int, x, sign: int, u_probes, x_probes,
             fusion_constant(fld, n, u_probes[0], x2, sign), ref))
     passed = (worst == 0.0) if exact else (worst < tol)
     return CheckReport(name=f"fusion-constant-{'plus' if sign > 0 else 'minus'}",
-                       params=params, residual=worst, passed=passed,
-                       exact=exact, seed=seed,
+                       residual=worst, passed=passed, exact=exact,
                        details={"constant": scalar_to_json(ref), "n": n})
 
 
@@ -348,8 +344,8 @@ def fused_builder(fld, n: int, sign: int, residuals: list,
 
 
 def check_projector_commutation(fld, n: int, u, v, x, sign: int,
-                                tol: float = 1e-9, sabotage_shift: bool = False,
-                                params="symbolic", seed: int = -1) -> CheckReport:
+                                tol: float = 1e-9,
+                                sabotage_shift: bool = False) -> CheckReport:
     """Block-swap chain commutes with the doubled symmetrizer.
 
     sabotage_shift misplaces the second-block parameter by one extra
@@ -373,8 +369,8 @@ def check_projector_commutation(fld, n: int, u, v, x, sign: int,
     res = residual(delta, [lhs_side])
     exact = fld.backend == "exact"
     passed = (res == 0.0) if exact else (res < tol)
-    return CheckReport(name="projector-commutation", params=params,
-                       residual=res, passed=passed, exact=exact, seed=seed,
+    return CheckReport(name="projector-commutation", residual=res,
+                       passed=passed, exact=exact,
                        details={"sign": sign, "sabotaged": sabotage_shift})
 
 
@@ -413,8 +409,7 @@ def fused_local_rep(fld, n: int, u, x, sign: int, space: FusedSpace = None,
 
 
 def check_fused_intertwining(fld, n: int, u, v, x, sign: int,
-                             tol: float = 1e-9, params="symbolic",
-                             seed: int = -1,
+                             tol: float = 1e-9,
                              identity_control: bool = False) -> CheckReport:
     """The fused R-matrix intertwines the swapped fused coproduct reps.
 
@@ -446,21 +441,20 @@ def check_fused_intertwining(fld, n: int, u, v, x, sign: int,
             worst_gen = tag
         worst = max(worst, res)
     passed = (worst == 0.0) if exact else (worst < tol)
-    return CheckReport(name="fused-intertwining", params=params,
-                       residual=worst, passed=passed, exact=exact, seed=seed,
+    return CheckReport(name="fused-intertwining", residual=worst,
+                       passed=passed, exact=exact,
                        details={"sign": sign, "n": n,
                                 "worst_generator": worst_gen})
 
 
 def check_fused_ybe(fld, n: int, sign: int, u, v, w, x, tol: float = 1e-8,
-                    shift: int = None, params="symbolic",
-                    seed: int = -1) -> CheckReport:
+                    shift: int = None) -> CheckReport:
     """The twisted YBE for the fused family; details carry the worst
     restriction invariance residual of the six fused factors."""
     residuals = []
     builder = fused_builder(fld, n, sign, residuals)
     report = check_twisted_ybe(fld, builder, u, v, w, x, tol=tol, shift=shift,
-                               params=params, seed=seed, name="fused-ybe")
+                               name="fused-ybe")
     report.details["sign"] = sign
     report.details["n"] = n
     report.details["restriction_residual"] = max(residuals)

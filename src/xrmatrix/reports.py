@@ -16,10 +16,10 @@ class CheckReport:
     """Outcome of one named identity check."""
 
     name: str
-    params: object            # ParamSet, dict, or "symbolic"
     residual: float           # 0.0 for an exact pass, inf for an exact fail
     passed: bool
     exact: bool = False
+    params: object = "symbolic"   # the ParamSet the suite ran, or "symbolic"
     elapsed_ms: int = 0
     seed: int = -1
     details: dict = field(default_factory=dict)

@@ -77,20 +77,19 @@ def vector_rmatrix(fld, u, v, x) -> Operator:
     return Operator(r, (4, 4))
 
 
-def check_forms_equal(fld, u, v, x, tol: float = 1e-12, params="symbolic",
-                      seed: int = -1) -> CheckReport:
+def check_forms_equal(fld, u, v, x, tol: float = 1e-12) -> CheckReport:
     """Entrywise agreement of the two constructions."""
     explicit = vector_rmatrix(fld, u, v, x)
     spectral = vector_rmatrix_spectral(fld, u, v, x)
     res = residual(spectral.mat - explicit.mat, [explicit.mat])
     exact = fld.backend == "exact"
     passed = (res == 0.0) if exact else (res < tol)
-    return CheckReport(name="r-forms-equal", params=params, residual=res,
-                       passed=passed, exact=exact, seed=seed)
+    return CheckReport(name="r-forms-equal", residual=res, passed=passed,
+                       exact=exact)
 
 
-def check_intertwining(fld, r: Operator, u, v, x, tol: float = 1e-10,
-                       params="symbolic", seed: int = -1) -> CheckReport:
+def check_intertwining(fld, r: Operator, u, v, x,
+                       tol: float = 1e-10) -> CheckReport:
     """R rho_{u,v}(X) = rho_{v,u}(X) R for all thirteen generators."""
     rep_uv = tuple_rep(fld, (u, v), x)
     rep_vu = tuple_rep(fld, (v, u), x)
@@ -104,9 +103,8 @@ def check_intertwining(fld, r: Operator, u, v, x, tol: float = 1e-10,
         if res > worst or worst_gen is None:
             worst, worst_gen = max(worst, res), tag
     passed = (worst == 0.0) if exact else (worst < tol)
-    return CheckReport(name="intertwining", params=params, residual=worst,
-                       passed=passed, exact=exact, seed=seed,
-                       details={"worst_generator": worst_gen})
+    return CheckReport(name="intertwining", residual=worst, passed=passed,
+                       exact=exact, details={"worst_generator": worst_gen})
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +176,11 @@ def twisted_ybe_factors(fld, builder: RMatrixBuilder, u, v, w, x,
 
 def check_twisted_ybe(fld, builder: RMatrixBuilder, u, v, w, x,
                       tol: float = 1e-9, shift: int = None,
-                      params="symbolic", seed: int = -1,
                       name: str = "twisted-ybe") -> CheckReport:
     mats = twisted_ybe_factors(fld, builder, u, v, w, x, shift)
     res = ybe_residual(mats)
     exact = fld.backend == "exact"
     passed = (res == 0.0) if exact else (res < tol)
     used_shift = builder.shift_exponent if shift is None else shift
-    return CheckReport(name=name, params=params, residual=res, passed=passed,
-                       exact=exact, seed=seed,
+    return CheckReport(name=name, residual=res, passed=passed, exact=exact,
                        details={"shift_exponent": used_shift})

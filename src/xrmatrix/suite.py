@@ -1,10 +1,17 @@
-"""Batch verification across seeds, levels, and backends."""
+"""Batch verification across seeds, levels, and backends.
+
+CHECKS is the one table of checks.  run_suite walks it for `verify` and
+for the single-check commands alike.
+"""
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable
 
 from .dynamical import check_dynamical_ybe, single_weight_space
 from .fusion import (check_fused_intertwining, check_fused_ybe,
@@ -13,39 +20,53 @@ from .fusion import (check_fused_intertwining, check_fused_ybe,
 from .reports import CheckReport
 from .rmatrix import (check_forms_equal, check_intertwining,
                       check_twisted_ybe, vector_builder, vector_rmatrix)
-from .scalars import ExactField, NumericField, sample_params
+from .scalars import ExactField, NumericField, ParamSet, sample_params
 from .superalgebra import check_relations, check_tensor_square, vector_rep
 
 LEVELS = ("relations", "lemma1", "box-ybe", "hecke", "lemma2", "fusion",
           "fused-ybe", "dynamical", "all")
 
-_DEFAULT_TOL = {
-    "relations": 1e-12,
-    "lemma1": 1e-10,
-    "box-ybe": 1e-9,
-    "hecke": 1e-10,
-    "lemma2": 1e-9,
-    "fusion": 1e-9,
-    "fused-ybe": 1e-8,
-    "dynamical": 1e-8,
-}
-
 
 @dataclass
 class SuiteConfig:
     backend: str = "numeric"
-    tol: float = None          # None: per-level defaults
+    tol: float = None          # None: each check's own default
     seed: int = 7
     samples: int = 3
     n: int = 2
     sign: int = 1
     negative_controls: bool = False
+    point: dict = field(default_factory=dict)  # ParamSet fields to replace
+    lam: complex = None        # dynamical lambda; None: log(x) / log(q)
 
     def seeds(self):
         return range(self.seed, self.seed + self.samples)
 
-    def level_tol(self, level: str) -> float:
-        return self.tol if self.tol is not None else _DEFAULT_TOL[level]
+    def params(self, seed: int) -> ParamSet:
+        """The seed's sampled point with the overrides in `point`."""
+        return replace(sample_params(seed), **self.point)
+
+
+@dataclass(frozen=True)
+class Check:
+    """One row of the check table.
+
+    run(fld, p, cfg, tol) returns the report.  p is the point's
+    ParamSet; on the exact backend it is the ExactField itself, whose
+    q, u, v, w, x are the symbols.  A per-seed row runs at every seed of
+    cfg.seeds(), any other row once at cfg.seed.  control, run the same
+    way under negative controls, is a deliberate failure that must fail
+    hard.
+    """
+
+    level: str
+    name: str
+    tol: float                 # default verdict tolerance
+    per_seed: bool
+    exact: bool                # the exact backend reaches this check
+    run: Callable
+    control: Callable = None
+    fixed_tol: bool = False    # cfg.tol does not apply
 
 
 def _timed(label, fn, seed=-1, params="symbolic"):
@@ -53,226 +74,166 @@ def _timed(label, fn, seed=-1, params="symbolic"):
         t0 = time.perf_counter()
         report = fn()
         report.elapsed_ms = int(1000 * (time.perf_counter() - t0))
-        if report.seed < 0:
-            report.seed = seed
-        if report.params == "symbolic" and params != "symbolic":
-            report.params = params
+        report.seed, report.params = seed, params
         report.name = label if label else report.name
         return report
 
     return run
 
 
-def _negated(report: CheckReport, threshold: float = 1e-3) -> CheckReport:
-    """Reinterpret a deliberate-failure check: pass iff it failed hard."""
+def _negated(control, *args, threshold: float = 1e-3) -> CheckReport:
+    """Run a deliberate-failure check: it passes iff it failed hard."""
+    report = control(*args)
     report.name = "negative:" + report.name
     report.passed = report.residual > threshold
     report.exact = False
     return report
 
 
-def _relations_checks(cfg: SuiteConfig):
-    tol = cfg.level_tol("relations")
-    if cfg.backend == "exact":
+def _split(f, p, cfg, tol):
+    # the split closes at y = qx; a y given on the command line is kept
+    y = p.y if "y" in cfg.point else f.q * p.x
+    return check_tensor_square(f, p.x, y, tol=tol)
+
+
+def _detuned_split(f, p, cfg, tol):
+    # at the sampled y, off qx, the second span is not invariant
+    rep = check_tensor_square(f, p.x, p.y, tol=tol)
+    rep.residual = rep.details["v2_residual"]
+    return rep
+
+
+def _box_ybe(f, p, cfg, tol, shift=None, name="box-ybe"):
+    return check_twisted_ybe(f, vector_builder(f), p.u, p.v, p.w, p.x,
+                             tol=tol, shift=shift, name=name)
+
+
+def _fused_ybe(f, p, cfg, tol, shift=None):
+    return check_fused_ybe(f, cfg.n, cfg.sign, p.u, p.v, p.w, p.x, tol=tol,
+                           shift=shift)
+
+
+def _dynamical_lambda(f, p, cfg):
+    a = cmath.log(f.q)
+    return a, cmath.log(p.x) / a if cfg.lam is None else cfg.lam
+
+
+def _dynamical_ybe(f, p, cfg, tol):
+    a, lam = _dynamical_lambda(f, p, cfg)
+    dyn = check_dynamical_ybe(f, cfg.n, cfg.sign, p.u, p.v, p.w, lam, a=a,
+                              tol=tol)
+    twisted = check_fused_ybe(f, cfg.n, cfg.sign, p.u, p.v, p.w,
+                              cmath.exp(a * lam), tol=tol)
+    dyn.details["matches_twisted"] = (dyn.residual == twisted.residual)
+    dyn.passed = dyn.passed and dyn.details["matches_twisted"]
+    return dyn
+
+
+def _fake_weight(f, p, cfg, tol):
+    a, lam = _dynamical_lambda(f, p, cfg)
+    d = fused_space(f, cfg.n, cmath.exp(a * lam), cfg.sign).dim
+    return check_dynamical_ybe(
+        f, cfg.n, cfg.sign, p.u, p.v, p.w, lam, a=a, tol=tol,
+        weighted=single_weight_space(d, -(cfg.n + 1.0)))
+
+
+def _projector(sign, f, p, cfg, tol, sabotage_shift=False):
+    return check_projector_commutation(f, cfg.n, p.u, p.v, p.x, sign,
+                                       tol=tol, sabotage_shift=sabotage_shift)
+
+
+CHECKS = (
+    Check("relations", "relations", 1e-12, True, True,
+          lambda f, p, cfg, tol: check_relations(vector_rep(f, p.x),
+                                                 tol=tol)),
+    Check("lemma1", "lemma1", 1e-10, True, True, _split,
+          control=_detuned_split),
+    Check("box-ybe", "box-ybe", 1e-9, True, True, _box_ybe,
+          control=partial(_box_ybe, shift=0, name="box-ybe-shift0")),
+    # the exact backend reaches the Hecke relations at n = 2 and 3
+    *(Check("hecke", "hecke", 1e-10, False, n < 4,
+            lambda f, p, cfg, tol, n=n: check_hecke_relations(f, n, p.x,
+                                                              tol=tol))
+      for n in (2, 3, 4)),
+    *(Check("lemma2", "lemma2", 1e-9, False, False,
+            lambda f, p, cfg, tol, sign=sign: check_fusion_constant(
+                f, cfg.n, p.x, sign, u_probes=(p.u, p.v), x_probes=(p.y,),
+                tol=tol))
+      for sign in (1, -1)),
+    *(row for sign in (1, -1) for row in (
+        Check("fusion", "fusion-intertwining", 1e-9, False, False,
+              lambda f, p, cfg, tol, sign=sign: check_fused_intertwining(
+                  f, cfg.n, p.u, p.v, p.x, sign, tol=tol)),
+        Check("fusion", "projector-commutation", 1e-9, False, False,
+              partial(_projector, sign),
+              control=partial(_projector, sign, sabotage_shift=True)))),
+    Check("fused-ybe", "fused-ybe", 1e-8, True, False, _fused_ybe,
+          control=lambda f, p, cfg, tol: _fused_ybe(f, p, cfg, tol,
+                                                    shift=cfg.n - 1)),
+    Check("dynamical", "dynamical-ybe", 1e-8, False, False, _dynamical_ybe,
+          control=_fake_weight),
+    # the two-construction cross-check runs alongside box-ybe, point by
+    # point, and last under "all"
+    Check("box-ybe", "r-forms-equal", 1e-12, True, True,
+          lambda f, p, cfg, tol: check_forms_equal(f, p.u, p.v, p.x,
+                                                   tol=tol),
+          fixed_tol=True),
+    Check("box-ybe", "intertwining", 1e-10, True, False,
+          lambda f, p, cfg, tol: check_intertwining(
+              f, vector_rmatrix(f, p.u, p.v, p.x), p.u, p.v, p.x, tol=tol),
+          fixed_tol=True),
+)
+
+# on the exact backend a level with exact rows runs only those, once and
+# symbolically; the other levels run numerically as usual
+_EXACT_LEVELS = frozenset(c.level for c in CHECKS if c.exact)
+
+
+def _points(cfg: SuiteConfig, per_seed: bool, exact: bool):
+    """(field, point, seed, params) for each point a block runs at."""
+    if exact:
         fld = ExactField()
-        yield _timed("relations", lambda: check_relations(
-            vector_rep(fld, fld.x), tol=tol))
+        yield fld, fld, -1 if per_seed else cfg.seed, "symbolic"
         return
-    for seed in cfg.seeds():
-        ps = sample_params(seed)
-        fld = NumericField(ps.q)
-        yield _timed("relations", lambda f=fld, p=ps, s=seed: check_relations(
-            vector_rep(f, p.x), tol=tol, params=p, seed=s), seed)
+    for seed in cfg.seeds() if per_seed else (cfg.seed,):
+        ps = cfg.params(seed)
+        yield NumericField(ps.q), ps, seed, ps
 
 
-def _lemma1_checks(cfg: SuiteConfig):
-    tol = cfg.level_tol("lemma1")
-    if cfg.backend == "exact":
-        fld = ExactField()
-        yield _timed("lemma1", lambda: check_tensor_square(
-            fld, fld.x, fld.q * fld.x, tol=tol))
-        return
-    for seed in cfg.seeds():
-        ps = sample_params(seed)
-        fld = NumericField(ps.q)
-        yield _timed("lemma1", lambda f=fld, p=ps, s=seed: check_tensor_square(
-            f, p.x, f.q * p.x, tol=tol, params=p, seed=s), seed)
-        if cfg.negative_controls:
-            def detuned(f=fld, p=ps, s=seed):
-                rep = check_tensor_square(f, p.x, p.y, tol=tol, params=p,
-                                          seed=s)
-                rep.residual = rep.details["v2_residual"]
-                return _negated(rep)
+def _thunks(cfg: SuiteConfig, selected):
+    """One timed thunk per report of the selected rows, in table order.
 
-            yield _timed("", detuned, seed)
-
-
-def _box_ybe_checks(cfg: SuiteConfig):
-    tol = cfg.level_tol("box-ybe")
-    if cfg.backend == "exact":
-        fld = ExactField()
-        builder = vector_builder(fld)
-        yield _timed("box-ybe", lambda: check_twisted_ybe(
-            fld, builder, fld.u, fld.v, fld.w, fld.x, tol=tol,
-            name="box-ybe"))
-        return
-    for seed in cfg.seeds():
-        ps = sample_params(seed)
-        fld = NumericField(ps.q)
-        builder = vector_builder(fld)
-        yield _timed("box-ybe", lambda f=fld, b=builder, p=ps, s=seed:
-                     check_twisted_ybe(f, b, p.u, p.v, p.w, p.x, tol=tol,
-                                       params=p, seed=s, name="box-ybe"),
-                     seed)
-        if cfg.negative_controls:
-            yield _timed("", lambda f=fld, b=builder, p=ps, s=seed: _negated(
-                check_twisted_ybe(f, b, p.u, p.v, p.w, p.x, tol=tol, shift=0,
-                                  params=p, seed=s, name="box-ybe-shift0")),
-                seed)
+    Adjacent rows of one level with the same per_seed run point by
+    point: each point goes through all of them before the next.
+    """
+    for (level, per_seed), block in itertools.groupby(
+            CHECKS, key=lambda c: (c.level, c.per_seed)):
+        exact = cfg.backend == "exact" and level in _EXACT_LEVELS
+        rows = [c for c in block if selected(c) and (c.exact or not exact)]
+        if not rows:
+            continue
+        for fld, p, seed, params in _points(cfg, per_seed, exact):
+            for c in rows:
+                tol = c.tol if c.fixed_tol or cfg.tol is None else cfg.tol
+                yield _timed(c.name, partial(c.run, fld, p, cfg, tol), seed,
+                             params)
+                if c.control and cfg.negative_controls and not exact:
+                    yield _timed("", partial(_negated, c.control, fld, p,
+                                             cfg, tol), seed, params)
 
 
-def _hecke_checks(cfg: SuiteConfig):
-    tol = cfg.level_tol("hecke")
-    ps = sample_params(cfg.seed)
-    if cfg.backend == "exact":
-        fld = ExactField()
-        for n in (2, 3):
-            yield _timed("hecke", lambda f=fld, nn=n: check_hecke_relations(
-                f, nn, f.x, tol=tol), cfg.seed)
-        return
-    fld = NumericField(ps.q)
-    for n in (2, 3, 4):
-        yield _timed("hecke", lambda f=fld, nn=n, p=ps: check_hecke_relations(
-            f, nn, p.x, tol=tol, params=p, seed=cfg.seed), cfg.seed)
-
-
-def _lemma2_checks(cfg: SuiteConfig):
-    tol = cfg.level_tol("lemma2")
-    ps = sample_params(cfg.seed)
-    fld = NumericField(ps.q)
-    for sign in (1, -1):
-        yield _timed("lemma2", lambda f=fld, p=ps, sg=sign:
-                     check_fusion_constant(
-                         f, cfg.n, p.x, sg, u_probes=(p.u, p.v),
-                         x_probes=(p.y,), tol=tol, params=p, seed=cfg.seed),
-                     cfg.seed)
-
-
-def _fusion_checks(cfg: SuiteConfig):
-    tol = cfg.level_tol("fusion")
-    ps = sample_params(cfg.seed)
-    fld = NumericField(ps.q)
-    for sign in (1, -1):
-        yield _timed("fusion-intertwining",
-                     lambda f=fld, p=ps, sg=sign: check_fused_intertwining(
-                         f, cfg.n, p.u, p.v, p.x, sg, tol=tol, params=p,
-                         seed=cfg.seed), cfg.seed)
-        yield _timed("projector-commutation",
-                     lambda f=fld, p=ps, sg=sign: check_projector_commutation(
-                         f, cfg.n, p.u, p.v, p.x, sg, tol=tol, params=p,
-                         seed=cfg.seed), cfg.seed)
-        if cfg.negative_controls:
-            yield _timed("", lambda f=fld, p=ps, sg=sign: _negated(
-                check_projector_commutation(
-                    f, cfg.n, p.u, p.v, p.x, sg, tol=tol, sabotage_shift=True,
-                    params=p, seed=cfg.seed)), cfg.seed)
-
-
-def _fused_ybe_checks(cfg: SuiteConfig):
-    tol = cfg.level_tol("fused-ybe")
-    for seed in cfg.seeds():
-        ps = sample_params(seed)
-        fld = NumericField(ps.q)
-        yield _timed("fused-ybe", lambda f=fld, p=ps, s=seed: check_fused_ybe(
-            f, cfg.n, cfg.sign, p.u, p.v, p.w, p.x, tol=tol, params=p,
-            seed=s), seed)
-        if cfg.negative_controls:
-            yield _timed("", lambda f=fld, p=ps, s=seed: _negated(
-                check_fused_ybe(f, cfg.n, cfg.sign, p.u, p.v, p.w, p.x,
-                                tol=tol, shift=cfg.n - 1, params=p, seed=s)),
-                seed)
-
-
-def _dynamical_checks(cfg: SuiteConfig):
-    tol = cfg.level_tol("dynamical")
-    ps = sample_params(cfg.seed)
-    fld = NumericField(ps.q)
-    a = cmath.log(fld.q)
-    lam = cmath.log(ps.x) / a
-
-    def run(f=fld, p=ps):
-        dyn = check_dynamical_ybe(f, cfg.n, cfg.sign, p.u, p.v, p.w, lam,
-                                  a=a, tol=tol, params=p, seed=cfg.seed)
-        x_dyn = cmath.exp(a * lam)
-        twisted = check_fused_ybe(f, cfg.n, cfg.sign, p.u, p.v, p.w, x_dyn,
-                                  tol=tol, params=p, seed=cfg.seed)
-        dyn.details["matches_twisted"] = (dyn.residual == twisted.residual)
-        dyn.passed = dyn.passed and dyn.details["matches_twisted"]
-        return dyn
-
-    yield _timed("dynamical-ybe", run, cfg.seed)
-    if cfg.negative_controls:
-        def fake(f=fld, p=ps):
-            d = fused_space(f, cfg.n, cmath.exp(a * lam), cfg.sign).dim
-            return _negated(check_dynamical_ybe(
-                f, cfg.n, cfg.sign, p.u, p.v, p.w, lam, a=a, tol=tol,
-                weighted=single_weight_space(d, -(cfg.n + 1.0)),
-                params=p, seed=cfg.seed))
-
-        yield _timed("", fake, cfg.seed)
-
-
-def _forms_checks(cfg: SuiteConfig):
-    # run alongside box-ybe: the two-construction cross-check
-    if cfg.backend == "exact":
-        fld = ExactField()
-        yield _timed("r-forms-equal", lambda: check_forms_equal(
-            fld, fld.u, fld.v, fld.x, tol=1e-12))
-        return
-    for seed in cfg.seeds():
-        ps = sample_params(seed)
-        fld = NumericField(ps.q)
-        yield _timed("r-forms-equal", lambda f=fld, p=ps, s=seed:
-                     check_forms_equal(f, p.u, p.v, p.x, tol=1e-12,
-                                       params=p, seed=s), seed)
-        yield _timed("intertwining", lambda f=fld, p=ps, s=seed:
-                     check_intertwining(
-                         f, vector_rmatrix(f, p.u, p.v, p.x), p.u, p.v, p.x,
-                         tol=1e-10, params=p, seed=s), seed)
-
-
-_LEVEL_CHECKS = {
-    "relations": _relations_checks,
-    "lemma1": _lemma1_checks,
-    "box-ybe": _box_ybe_checks,
-    "hecke": _hecke_checks,
-    "lemma2": _lemma2_checks,
-    "fusion": _fusion_checks,
-    "fused-ybe": _fused_ybe_checks,
-    "dynamical": _dynamical_checks,
-}
-
-
-def run_suite(level: str, cfg: SuiteConfig, emit=None):
-    """Run the selected level(s) in order; returns the reports.
+def run_suite(level: str, cfg: SuiteConfig, emit=None, names=None):
+    """Run the rows of a level ("all": every row) in table order; returns
+    the reports.  names, when given, keeps only the rows so named.
 
     Each report is emitted as soon as its check finishes.
     """
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}; choose from {LEVELS}")
-    if level == "all":
-        pending = []
-        for name in LEVELS[:-1]:
-            pending.extend(_LEVEL_CHECKS[name](cfg))
-        pending.extend(_forms_checks(cfg))
-    elif level == "box-ybe":
-        pending = list(_LEVEL_CHECKS[level](cfg)) + list(_forms_checks(cfg))
-    else:
-        pending = list(_LEVEL_CHECKS[level](cfg))
-
     reports = []
-    for fn in pending:
-        report = fn()
+    for thunk in _thunks(cfg, lambda c: level in ("all", c.level)
+                         and (names is None or c.name in names)):
+        report = thunk()
         reports.append(report)
         if emit:
             emit(report)

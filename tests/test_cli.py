@@ -4,6 +4,7 @@ import pytest
 
 from xrmatrix.cartan import cartan_json
 from xrmatrix.cli import main, parse_complex
+from xrmatrix.scalars import sample_params
 
 
 def run(capsys, *argv):
@@ -52,11 +53,36 @@ def test_check_lemma1_detuned_fails(capsys):
     assert json.loads(out)["pass"] is False
 
 
+def test_check_lemma1_defaults_to_closing_point(capsys):
+    # without --y the split is checked at y = q x, where it closes
+    code, out = run(capsys, "check-lemma1", "--q", "1.3,0.2",
+                    "--x", "0.5,0.1")
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
+def test_single_checks_report_the_point_they_ran(capsys):
+    sampled = sample_params(7).to_json()
+    code, out = run(capsys, "check-ybe", "--q", "1.2,0.3", "--samples", "1")
+    assert code == 0
+    params = json.loads(out)["params"]
+    assert params["q"] == {"re": 1.2, "im": 0.3}
+    assert params == {**sampled, "q": params["q"]}
+    _, out = run(capsys, "check-relations", "--x", "0.4,0.3")
+    assert json.loads(out)["params"] == {**sampled,
+                                         "x": {"re": 0.4, "im": 0.3}}
+    for command in ("check-lemma1", "check-dynamical"):
+        _, out = run(capsys, command)
+        assert json.loads(out)["params"] == sampled, command
+
+
 def test_usage_error_is_exit_2(capsys):
     for argv in (["verify", "not-a-level"],
                  ["check-relations", "--q", "1,0"],
                  ["check-relations", "--q", "0"],
                  ["check-ybe", "--level", "fused", "--n", "7"],
+                 ["check-ybe", "--level", "fused", "--backend", "exact",
+                  "--n", "2"],
                  ["verify", "fused-ybe", "--samples", "0"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -203,6 +229,7 @@ def test_check_dynamical(capsys):
     blob = json.loads(out)
     assert blob["pass"] is True
     assert 0 <= blob["details"]["restriction_residual"] < 1e-9
+    assert blob["details"]["matches_twisted"] is True
     assert blob["elapsed_ms"] > 0
 
 
@@ -250,3 +277,62 @@ def test_rep_and_basis_serialization(nf, ps):
     assert blob["images"]["E0"]["entries"] == [[3, 0, {"re": 1.0, "im": 0.0}]]
     basis = fused_space(nf, 2, ps.x, 1).basis
     assert basis_to_json(basis)["shape"] == [16, 8]
+
+
+# (check, seed, pass) of every report, in the order verify emits them
+_ALL_WITH_CONTROLS = [
+    ("relations", 7, True),
+    ("lemma1", 7, True),
+    ("negative:tensor-square-split", 7, True),
+    ("box-ybe", 7, True),
+    ("negative:box-ybe-shift0", 7, True),
+    ("hecke", 7, True),
+    ("hecke", 7, True),
+    ("hecke", 7, True),
+    ("lemma2", 7, True),
+    ("lemma2", 7, True),
+    ("fusion-intertwining", 7, True),
+    ("projector-commutation", 7, True),
+    ("negative:projector-commutation", 7, True),
+    ("fusion-intertwining", 7, True),
+    ("projector-commutation", 7, True),
+    ("negative:projector-commutation", 7, True),
+    ("fused-ybe", 7, True),
+    ("negative:fused-ybe", 7, True),
+    ("dynamical-ybe", 7, True),
+    ("negative:dynamical-ybe", 7, True),
+    ("r-forms-equal", 7, True),
+    ("intertwining", 7, True),
+]
+
+# exact levels run once, symbolically; the others stay numeric
+_ALL_EXACT = [
+    ("relations", -1, True),
+    ("lemma1", -1, True),
+    ("box-ybe", -1, True),
+    ("hecke", 7, True),
+    ("hecke", 7, True),
+    ("lemma2", 7, True),
+    ("lemma2", 7, True),
+    ("fusion-intertwining", 7, True),
+    ("projector-commutation", 7, True),
+    ("fusion-intertwining", 7, True),
+    ("projector-commutation", 7, True),
+    ("fused-ybe", 7, True),
+    ("fused-ybe", 8, True),
+    ("fused-ybe", 9, True),
+    ("dynamical-ybe", 7, True),
+    ("r-forms-equal", -1, True),
+]
+
+
+def test_verify_all_report_order(capsys):
+    for argv, want in (
+            (("verify", "all", "--samples", "1", "--negative-controls"),
+             _ALL_WITH_CONTROLS),
+            (("verify", "all", "--backend", "exact"), _ALL_EXACT)):
+        code, out = run(capsys, *argv)
+        assert code == 0, argv
+        got = [(r["check"], r["seed"], r["pass"])
+               for r in map(json.loads, out.splitlines())]
+        assert got == want, argv
