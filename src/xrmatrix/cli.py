@@ -12,12 +12,18 @@ import json
 import sys
 
 from .cartan import cartan_json
-from .fusion import (_MAX_SYMMETRIC_GROUP, fused_restriction, fused_space,
-                     fusion_constant, symmetrizer)
+from .fusion import (fused_restriction, fused_space, fusion_constant,
+                     symmetrizer)
 from .reports import basis_to_json, dump, matrix_to_json
 from .rmatrix import vector_rmatrix, vector_rmatrix_spectral
 from .scalars import ExactField, NumericField
 from .suite import CHECKS, LEVELS, SuiteConfig, run_suite
+
+
+# fused levels above 5 do not fit in memory: at n = 6 one d^3 x d^3
+# complex YBE array (d = 24) takes 3 GB, at n = 5 (d = 20) 1 GB.  Rows
+# of the check table with a lower max_n lower it further.
+_MAX_N = 5
 
 
 def parse_complex(text: str) -> complex:
@@ -78,7 +84,7 @@ def _add_common(p, *names):
             p.add_argument("--samples", type=_sample_count, default=3)
         elif name == "n":
             p.add_argument("--n", type=int, default=2,
-                           choices=range(1, _MAX_SYMMETRIC_GROUP + 1))
+                           choices=range(1, _MAX_N + 1))
         elif name == "sign":
             p.add_argument("--sign", choices=("plus", "minus"),
                            default="plus")
@@ -252,10 +258,22 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if (vars(args).get("backend") == "exact" and args.command.startswith(
-            "check-") and _check_row(args) not in _EXACT_ROWS):
-        parser.error(f"{args.command}: the exact backend does not reach "
-                     f"{_check_row(args)}; use --backend numeric")
+    opts = vars(args)
+    if args.command == "verify":
+        for c in CHECKS:
+            if (args.level in ("all", c.level) and c.max_n is not None
+                    and args.n > c.max_n):
+                parser.error(f"verify {args.level}: {c.name} needs "
+                             f"--n <= {c.max_n}")
+    if opts.get("backend") == "exact":
+        given = [f"--{k}" for k in "quvwxy" if opts.get(k) is not None]
+        if given:
+            parser.error(f"{args.command}: the exact backend is symbolic in "
+                         f"q, u, v, w, x; drop {' '.join(given)}")
+        if (args.command.startswith("check-")
+                and _check_row(args) not in _EXACT_ROWS):
+            parser.error(f"{args.command}: the exact backend does not reach "
+                         f"{_check_row(args)}; use --backend numeric")
     try:
         return _COMMANDS[args.command](args)
     except OSError as err:

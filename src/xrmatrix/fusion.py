@@ -4,14 +4,18 @@ The Hecke generator images are recovered from the elementary R-matrix
 by the affine inversion formula
     pi(h_i) = (R_i(u, v; x) - v (q^2 - 1) I) / (u - v),
 probed at two integer (u, v) pairs; on the exact backend integer probes
-keep every entry polynomial.  Chains over a permutation apply the
+keep every entry polynomial.  Each image stays on its own two legs and
+acts through apply_at_legs.  The symmetrizer is built one leg at a time
+by its coset factorization.  Chains over a permutation apply the
 elementary matrices leg by leg along the canonical reduced word,
-updating the parameter tuple by partial permutations.
+updating the parameter tuple by partial permutations.  The fused
+R-matrix restricts the block-swap chain one moving leg at a time, so no
+operator or block on all 2n legs is formed; the fused spaces between the
+two ends are twisted from the first one rather than built.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -68,9 +72,13 @@ def apply_chain(fld, a, x, perm: Permutation, block: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Hecke representation
 
-def _hecke_pair_images(fld, n: int, x, tol: float):
-    """pi(h_i) on its own two legs, i = 1..n-1, with a two-probe
-    consistency guard."""
+def hecke_generator_images(fld, n: int, x, tol: float = 1e-9):
+    """pi(h_i) for i = 1..n-1, each on its own two legs (i, i+1), with a
+    two-probe consistency guard.
+
+    h_i is probed at parameter q^(i-1) x, the twist of legs (i, i+1);
+    callers place it with apply_at_legs, so no n-leg embedding is formed.
+    """
     probes = ((2, 3), (5, 7))
     q2 = fld.q_power(2)
     one = fld.one
@@ -93,19 +101,6 @@ def _hecke_pair_images(fld, n: int, x, tol: float):
     return out
 
 
-def hecke_generator_images(fld, n: int, x, tol: float = 1e-9):
-    """pi(h_i) for i = 1..n-1 on all n legs, with a two-probe
-    consistency guard.
-
-    The inversion formula and the guard work on the two legs the
-    generator acts on; the image is then placed at legs (i, i+1).
-    """
-    legs = (4,) * n
-    eye = fld.eye(4 ** n)
-    return [Operator(apply_at_legs(h, i + 1, legs, eye), legs)
-            for i, h in enumerate(_hecke_pair_images(fld, n, x, tol))]
-
-
 def check_hecke_relations(fld, n: int, x, tol: float = 1e-10) -> CheckReport:
     """Quadratic, braid, and distant-commutation relations for pi(h_i).
 
@@ -113,7 +108,7 @@ def check_hecke_relations(fld, n: int, x, tol: float = 1e-10) -> CheckReport:
     another generator (or to h + 1), so no dense n-leg product is
     formed.  tol sets the verdict only; the probe guard keeps 1e-10.
     """
-    pair = _hecke_pair_images(fld, n, x, tol=1e-10)
+    pair = hecke_generator_images(fld, n, x, tol=1e-10)
     legs = (4,) * n
     eye = fld.eye(4 ** n)
 
@@ -159,48 +154,44 @@ class Symmetrizer:
     n: int
 
 
-def symmetrizer(fld, n: int, x, sign: int, hecke=None,
-                tol: float = 1e-9) -> Symmetrizer:
+def symmetrizer(fld, n: int, x, sign: int, tol: float = 1e-9) -> Symmetrizer:
     """Image of the full q-(anti)symmetrizer under the Hecke action.
 
-    Enumerates S_n explicitly (guarded at n <= 6) and multiplies along
-    length-additive factorizations, so each group element costs one
-    matrix product.  The eigenvalue relations and the square constant
-    are verified before returning.
+    The symmetrizer sum_w c^len(w) pi(T_w) over S_n, with c = 1 (sign +)
+    or -q^-2 (sign -), is built by the coset factorization
+        S_k = (1 + c h_{k-1} + c^2 h_{k-2} h_{k-1} + ...
+               + c^{k-1} h_1 ... h_{k-1}) S_{k-1},
+    whose words are the shortest representatives of the cosets of S_{k-1}
+    in S_k.  That is n(n-1)/2 two-leg images applied with apply_at_legs
+    in place of n! dense products (guarded at n <= 6).  The eigenvalue
+    relations and the square constant are verified before returning.
     """
     if not 1 <= n <= _MAX_SYMMETRIC_GROUP:
         raise ValueError(f"n must be between 1 and {_MAX_SYMMETRIC_GROUP}")
-    hs = hecke if hecke is not None else hecke_generator_images(fld, n, x, tol)
-    dim = 4 ** n
+    hs = hecke_generator_images(fld, n, x, tol)
+    legs = (4,) * n
     exact = fld.backend == "exact"
-    images = {Permutation.identity(n).one_line: fld.eye(dim)}
-    elements = sorted(
-        (Permutation(p) for p in itertools.permutations(range(n))),
-        key=lambda p: p.length(),
-    )
-    total = fld.zeros((dim, dim))
-    constant = fld.zero
-    neg_q2 = -fld.q_power(-2)
-    for perm in elements:
-        line = perm.one_line
-        if line not in images:
-            i = next(j for j in range(n - 1) if line[j] > line[j + 1])
-            parent = list(line)
-            parent[i], parent[i + 1] = parent[i + 1], parent[i]
-            images[line] = images[tuple(parent)] @ hs[i].mat
-        ell = perm.length()
-        coeff = fld.one if sign > 0 else neg_q2 ** ell
-        total = total + images[line] * coeff
-        constant = constant + fld.q_power(2 * sign * ell)
+    c = fld.one if sign > 0 else -fld.q_power(-2)
+    total = fld.eye(4 ** n)
+    constant = fld.one
+    for k in range(2, n + 1):
+        term = total
+        for i in range(k - 2, -1, -1):
+            term = apply_at_legs(hs[i], i + 1, legs, term) * c
+            total = total + term
+        # the lengths of the coset words are 0, ..., k-1
+        constant = constant * sum((fld.q_power(2 * sign * j)
+                                   for j in range(1, k)), fld.one)
     eig = fld.q_power(2) if sign > 0 else fld.from_int(-1)
     for i, h in enumerate(hs):
-        dev = residual(h.mat @ total - total * eig, [h.mat, total])
+        dev = residual(apply_at_legs(h, i + 1, legs, total) - total * eig,
+                       [h.mat, total])
         if _fails(dev, exact, tol):
             raise RuntimeError(f"symmetrizer eigen-relation fails at h_{i+1}")
     dev = residual(total @ total - total * constant, [total, total])
     if _fails(dev, exact, tol):
         raise RuntimeError("symmetrizer square constant fails")
-    op = Operator(total, (4,) * n)
+    op = Operator(total, legs)
     return Symmetrizer(op=op, constant=constant,
                        normalized=op.scaled(fld.one / constant),
                        sign=sign, n=n)
@@ -287,30 +278,72 @@ def fused_space(fld, n: int, x, sign: int, sym: Symmetrizer = None,
     return FusedSpace(sign=sign, n=n, x=x, basis=basis)
 
 
+def _twisted_basis(fld, basis: SubspaceBasis, lam, n: int) -> SubspaceBasis:
+    """A basis of the fused space at lam x from a basis B of the one at x.
+
+    x enters the vector R-matrix only in the entries that take e_1 (x) e_2
+    and e_2 (x) e_1 to e_3 (x) e_4 and e_4 (x) e_3, so conjugating by
+    D (x) D, D = diag(1, 1, 1, lam), turns R(u, v; x) into R(u, v; lam x).
+    The Hecke images and the symmetrizer at lam x are then those at x
+    conjugated by D^(x)n, and D^(x)n B spans the fused space at lam x.
+    """
+    d = np.diagonal(fld.eye(4)).copy()
+    d[3] = lam
+    weights = d
+    for _ in range(n - 1):
+        weights = np.kron(weights, d)
+    return SubspaceBasis(basis.columns * weights[:, None])
+
+
 def fused_restriction(fld, n: int, u, v, x, sign: int, spaces=None,
                       tol: float = 1e-9):
     """The chained R-matrix over the block swap, restricted to the
     fused subspace pair at (x, q^n x), and its invariance residual.
 
-    The chain acts on kron(B1, B2); the restriction solves through the
-    two factor bases B1, B2 separately.  Raises if the restriction is
-    not invariant; invariance is exactly the projector-commutation
-    property checked elsewhere.
+    The canonical word of the block swap, applied right to left, moves
+    leg p = n-1, ..., 0 of block 1 through all of block 2, which then
+    sits on legs p+1, ..., p+n in the fused space at q^(p+1) x and is
+    carried to legs p, ..., p+n-1 in the one at q^p x (the order of
+    Kulish, Reshetikhin and Sklyanin).  Each stage is one chain over n+1
+    legs, restricted once to a (d*4) x (4*d) matrix S_p, and applied to
+    the state kron(B(x), I_d) at its legs (p, p+1), which go from (4, d)
+    to (d, 4).  A last solve through B(q^n x) finishes, so the largest
+    block has d*4^n rows.  The spaces at q x, ..., q^(n-1) x are twisted
+    from the one at x (_twisted_basis); only the pair is built from
+    symmetrizers.  Raises if a stage is not invariant; the residual
+    returned is the worst over the stages and the last solve.
     """
     if spaces is None:
-        sp1 = fused_space(fld, n, x, sign, tol=tol)
-        sp2 = fused_space(fld, n, fld.q_power(n) * x, sign, tol=tol)
-    else:
-        sp1, sp2 = spaces
+        spaces = (fused_space(fld, n, x, sign, tol=tol),
+                  fused_space(fld, n, fld.q_power(n) * x, sign, tol=tol))
+    sp1, sp2 = spaces
+    bases = ([sp1.basis]
+             + [_twisted_basis(fld, sp1.basis, fld.q_power(p), n)
+                for p in range(1, n)]
+             + [sp2.basis])
     gam = Permutation.reversal(n)
     prof = q_profile(fld, n, sign)
     a = concat_tuples(gam.act(tuple(u * p for p in prof)),
                       gam.act(tuple(v * p for p in prof)))
-    tau = Permutation.block_swap(n)
-    block = np.kron(sp1.basis.columns, sp2.basis.columns)
-    action = apply_chain(fld, a, x, tau, block)
-    small, rel = restrict_action((sp1.basis, sp2.basis), action, tol)
-    return Operator(small, (sp1.dim, sp2.dim)), rel
+    cycle = Permutation([n] + list(range(n)))
+    four = SubspaceBasis(fld.eye(4))
+    legs = [4] * n + [sp2.dim]
+    state = np.kron(sp1.basis.columns, fld.eye(sp2.dim))
+    worst = 0.0
+    for p in reversed(range(n)):
+        lo, hi = bases[p], bases[p + 1]
+        action = apply_chain(fld, (a[p],) + a[n:], fld.q_power(p) * x, cycle,
+                             np.kron(fld.eye(4), hi.columns))
+        stage, rel = restrict_action((lo, four), action, tol)
+        worst = max(worst, rel)
+        # S_p takes legs (4, d) at (p, p+1) to (d, 4)
+        state = apply_at_legs(Operator(stage, (4, hi.dim)), p + 1, legs,
+                              state)
+        legs[p], legs[p + 1] = lo.dim, 4
+    # block 1, now on the last n legs, lies in the fused space at q^n x
+    small, rel = restrict_action((SubspaceBasis(fld.eye(sp1.dim)), sp2.basis),
+                                 state, tol)
+    return Operator(small, (sp1.dim, sp2.dim)), max(worst, rel)
 
 
 def fused_rmatrix(fld, n: int, u, v, x, sign: int, spaces=None,
@@ -321,7 +354,8 @@ def fused_rmatrix(fld, n: int, u, v, x, sign: int, spaces=None,
 
 def fused_builder(fld, n: int, sign: int, residuals: list,
                   tol: float = 1e-9) -> RMatrixBuilder:
-    """Builder over the fused family; caches fused spaces per parameter.
+    """Builder over the fused family; caches fused spaces per parameter,
+    so the builds at x and q^n x share the space at q^n x.
 
     Each build appends its restriction invariance residual to residuals.
     """

@@ -37,14 +37,19 @@ class SuiteConfig:
     sign: int = 1
     negative_controls: bool = False
     point: dict = field(default_factory=dict)  # ParamSet fields to replace
-    lam: complex = None        # dynamical lambda; None: log(x) / log(q)
+    lam: complex = None        # dynamical lambda, x = q^lam; None: log_q x
 
     def seeds(self):
         return range(self.seed, self.seed + self.samples)
 
     def params(self, seed: int) -> ParamSet:
-        """The seed's sampled point with the overrides in `point`."""
-        return replace(sample_params(seed), **self.point)
+        """The seed's sampled point with the overrides in `point`; with
+        lam given, x is the point exp(log(q) lam) the dynamical checks
+        run at."""
+        ps = replace(sample_params(seed), **self.point)
+        if self.lam is None:
+            return ps
+        return replace(ps, x=cmath.exp(cmath.log(ps.q) * self.lam))
 
 
 @dataclass(frozen=True)
@@ -67,6 +72,7 @@ class Check:
     run: Callable
     control: Callable = None
     fixed_tol: bool = False    # cfg.tol does not apply
+    max_n: int = None          # the largest cfg.n that fits in memory
 
 
 def _timed(label, fn, seed=-1, params="symbolic"):
@@ -164,9 +170,12 @@ CHECKS = (
         Check("fusion", "fusion-intertwining", 1e-9, False, False,
               lambda f, p, cfg, tol, sign=sign: check_fused_intertwining(
                   f, cfg.n, p.u, p.v, p.x, sign, tol=tol)),
+        # the doubled symmetrizer is dense on 2n legs: 4^(2n) square,
+        # 68 GB at n = 4
         Check("fusion", "projector-commutation", 1e-9, False, False,
               partial(_projector, sign),
-              control=partial(_projector, sign, sabotage_shift=True)))),
+              control=partial(_projector, sign, sabotage_shift=True),
+              max_n=3))),
     Check("fused-ybe", "fused-ybe", 1e-8, True, False, _fused_ybe,
           control=lambda f, p, cfg, tol: _fused_ybe(f, p, cfg, tol,
                                                     shift=cfg.n - 1)),

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -101,6 +102,11 @@ class SubspaceBasis:
     @property
     def dim(self) -> int:
         return self.columns.shape[1]
+
+    @cached_property
+    def left_inverse(self) -> np.ndarray:
+        """pinv of the numeric columns, computed once per basis."""
+        return np.linalg.pinv(self.columns)
 
 
 def identity(fld, legs) -> Operator:
@@ -336,10 +342,11 @@ def restrict_action(bases, action: np.ndarray, tol: float = 1e-9):
 
     bases is the sequence of factor bases B_1, ..., B_k; the rows of
     action are ordered as their tensor product.  The kron is never
-    formed: numeric factors apply the left inverse pinv(B_i) along leg
-    i, exact factors call exact_solve along leg i, whose inconsistency
-    error is the invariance test (the action lies in span(B_1) (x) ...
-    (x) span(B_k) exactly when every stage is consistent).
+    formed: numeric factors apply the left inverse pinv(B_i), computed
+    once per basis, along leg i; exact factors call exact_solve along
+    leg i, whose inconsistency error is the invariance test (the action
+    lies in span(B_1) (x) ... (x) span(B_k) exactly when every stage is
+    consistent).
 
     Returns (S, relative residual), the residual being
     ||B*S - action|| / max(||action||, ||B||) with ||B|| = prod ||B_i||.
@@ -355,8 +362,8 @@ def restrict_action(bases, action: np.ndarray, tol: float = 1e-9):
             y = exact_solve(b, moved.reshape(b.shape[0], -1))
             s = np.moveaxis(y.reshape((b.shape[1],) + moved.shape[1:]), 0, k)
         return s.reshape(-1, r), 0.0
-    for k, b in enumerate(cols):
-        s = _matmul_at_leg(np.linalg.pinv(b), k, s)
+    for k, b in enumerate(bases):
+        s = _matmul_at_leg(b.left_inverse, k, s)
     rebuilt = s
     for k, b in enumerate(cols):
         rebuilt = _matmul_at_leg(b, k, rebuilt)

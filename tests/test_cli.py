@@ -1,7 +1,9 @@
+import cmath
 import json
 
 import pytest
 
+from xrmatrix import cli
 from xrmatrix.cartan import cartan_json
 from xrmatrix.cli import main, parse_complex
 from xrmatrix.scalars import sample_params
@@ -71,23 +73,59 @@ def test_single_checks_report_the_point_they_ran(capsys):
     _, out = run(capsys, "check-relations", "--x", "0.4,0.3")
     assert json.loads(out)["params"] == {**sampled,
                                          "x": {"re": 0.4, "im": 0.3}}
-    for command in ("check-lemma1", "check-dynamical"):
-        _, out = run(capsys, command)
-        assert json.loads(out)["params"] == sampled, command
+    _, out = run(capsys, "check-lemma1")
+    assert json.loads(out)["params"] == sampled
+    # check-dynamical runs at x = exp(log(q) lambda), lambda 0.7+0.3i
+    _, out = run(capsys, "check-dynamical")
+    x = cmath.exp(cmath.log(complex(sampled["q"]["re"], sampled["q"]["im"]))
+                  * complex(0.7, 0.3))
+    assert json.loads(out)["params"] == {**sampled,
+                                         "x": {"re": x.real, "im": x.imag}}
 
 
-def test_usage_error_is_exit_2(capsys):
+def test_check_dynamical_reports_the_x_it_ran_at(capsys):
+    ps = sample_params(7)
+    x = cmath.exp(cmath.log(ps.q) * complex(0.4, 0.2))
+    code, out = run(capsys, "check-dynamical", "--lambda", "0.4,0.2",
+                    "--seed", "7")
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["params"]["x"] == {"re": x.real, "im": x.imag}
+    assert blob["params"]["q"] == {"re": ps.q.real, "im": ps.q.imag}
+
+
+def test_usage_error_is_exit_2(capsys, monkeypatch):
+    # every command is stubbed, so an argument list that got past the
+    # checks would return here instead of starting a construction (some
+    # of these would take several GB)
+    ran = []
+    for name in cli._COMMANDS:
+        monkeypatch.setitem(cli._COMMANDS, name,
+                            lambda args: ran.append(args.command) or 0)
     for argv in (["verify", "not-a-level"],
                  ["check-relations", "--q", "1,0"],
                  ["check-relations", "--q", "0"],
+                 ["check-ybe", "--level", "fused", "--n", "6"],
                  ["check-ybe", "--level", "fused", "--n", "7"],
                  ["check-ybe", "--level", "fused", "--backend", "exact",
                   "--n", "2"],
+                 ["check-ybe", "--backend", "exact", "--u", "1.1,0"],
+                 ["check-relations", "--backend", "exact", "--q", "1.3,0.2"],
+                 ["build-r", "--backend", "exact", "--x", "0.5,0.1"],
+                 ["verify", "fusion", "--n", "4"],
+                 ["verify", "all", "--n", "5"],
                  ["verify", "fused-ybe", "--samples", "0"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2, argv
         assert "error:" in capsys.readouterr().err, argv
+    assert ran == []
+    # the cap of projector-commutation binds only the levels that run it
+    for argv in (["verify", "fusion", "--n", "3"],
+                 ["verify", "fused-ybe", "--n", "5"],
+                 ["check-ybe", "--level", "fused", "--n", "5"]):
+        assert main(argv) == 0, argv
+    assert ran == ["verify", "verify", "check-ybe"]
 
 
 def test_zero_tolerance_is_honoured(capsys):

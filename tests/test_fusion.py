@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,13 @@ from xrmatrix import (GENERATORS, NumericField, chain_rmatrix,
                       fused_space, fusion_constant, hecke_generator_images,
                       q_profile, sample_params, symmetrizer,
                       tensor_projectors, tuple_rep, vector_rmatrix)
-from xrmatrix.fusion import apply_chain, fused_restriction
+from xrmatrix.fusion import (_twisted_basis, apply_chain,
+                             fused_restriction)
 from xrmatrix.permutations import (Permutation, all_reduced_words,
                                    concat_tuples)
 from xrmatrix.superalgebra import coproduct_image
-from xrmatrix.tensorops import Operator, SubspaceBasis, restrict
+from xrmatrix.tensorops import (Operator, SubspaceBasis, restrict,
+                                restrict_action)
 
 
 class TestHecke:
@@ -27,10 +31,14 @@ class TestHecke:
         assert report.passed and report.exact
 
     def test_generator_matches_projector_combination(self, nf, ps):
-        # pi(h) = q^2 P1 - P2 on two legs
-        h = hecke_generator_images(nf, 2, ps.x)[0]
-        p1, p2 = tensor_projectors(nf, ps.x)
-        assert np.allclose(h.mat, nf.q ** 2 * p1.mat - p2.mat)
+        # pi(h_i) = q^2 P1 - P2 on its own two legs, at the leg twist
+        # q^(i-1) x
+        hs = hecke_generator_images(nf, 3, ps.x)
+        assert len(hs) == 2
+        for i, h in enumerate(hs):
+            p1, p2 = tensor_projectors(nf, nf.q ** i * ps.x)
+            assert h.legs == (4, 4)
+            assert np.allclose(h.mat, nf.q ** 2 * p1.mat - p2.mat)
 
 
 class TestSymmetrizer:
@@ -57,6 +65,31 @@ class TestSymmetrizer:
         sym = symmetrizer(nf, 3, ps.x, 1)
         p = sym.normalized.mat
         assert np.linalg.norm(p @ p - p) < 1e-9 * np.linalg.norm(p)
+
+    @staticmethod
+    def _group_sum(fld, n, x, sign):
+        """sum_w c^len(w) pi(T_w) over all of S_n, each T_w a dense
+        product of kron-embedded generators along its canonical word."""
+        hs = [np.kron(np.kron(np.eye(4 ** i), h.mat),
+                      np.eye(4 ** (n - i - 2)))
+              for i, h in enumerate(hecke_generator_images(fld, n, x))]
+        c = 1.0 if sign > 0 else -fld.q ** -2
+        total = np.zeros((4 ** n, 4 ** n), dtype=complex)
+        for line in itertools.permutations(range(n)):
+            word = Permutation(line).reduced_word()
+            image = np.eye(4 ** n, dtype=complex)
+            for i in word:
+                image = image @ hs[i]
+            total += c ** len(word) * image
+        return total
+
+    def test_coset_factorization_matches_group_sum(self, nf, ps):
+        for n in (2, 3, 4):
+            for sign in (1, -1):
+                ref = self._group_sum(nf, n, ps.x, sign)
+                got = symmetrizer(nf, n, ps.x, sign).op.mat
+                assert (np.linalg.norm(got - ref)
+                        < 1e-12 * np.linalg.norm(ref)), (n, sign)
 
     def test_group_size_guard(self, nf, ps):
         with pytest.raises(ValueError):
@@ -180,8 +213,63 @@ class TestFusedSpaces:
         fixed = sym.normalized.mat @ space.basis.columns
         assert np.allclose(fixed, space.basis.columns)
 
+    def test_twisted_basis_spans_the_space_at_the_twisted_parameter(
+            self, nf, ps):
+        # the stages of fused_restriction pass through twisted bases
+        for n in (2, 3):
+            for sign in (1, -1):
+                base = fused_space(nf, n, ps.x, sign).basis
+                for lam in (nf.q, nf.q ** 2, 0.7 + 0.4j):
+                    target = fused_space(nf, n, lam * ps.x, sign).basis
+                    twisted = _twisted_basis(nf, base, lam, n)
+                    assert twisted.dim == target.dim
+                    _, rel = restrict_action((target,), twisted.columns)
+                    assert rel < 1e-12, (n, sign, lam)
+            # off the twist the spans differ; the q-antisymmetric space
+            # does not depend on x, so only sign + can tell
+            base = fused_space(nf, n, ps.x, 1).basis
+            with pytest.raises(ValueError):
+                restrict_action((fused_space(nf, n, nf.q * ps.x, 1).basis,),
+                                _twisted_basis(nf, base, 1 / nf.q, n).columns)
+
+    def test_twisted_basis_exact(self, ef):
+        base = fused_space(ef, 2, ef.x, 1).basis
+        target = fused_space(ef, 2, ef.q * ef.x, 1).basis
+        twisted = _twisted_basis(ef, base, ef.q, 2)
+        assert twisted.dim == target.dim
+        assert restrict_action((target,), twisted.columns)[1] == 0.0
+
+
+def _kron_route(fld, n, u, v, x, sign):
+    """The fused R-matrix by the dense route: the block-swap chain on
+    kron(B1, B2), then one solve through that kron basis."""
+    sp1 = fused_space(fld, n, x, sign)
+    sp2 = fused_space(fld, n, fld.q_power(n) * x, sign)
+    gam = Permutation.reversal(n)
+    prof = q_profile(fld, n, sign)
+    tup = concat_tuples(gam.act(tuple(u * p for p in prof)),
+                        gam.act(tuple(v * p for p in prof)))
+    block = np.kron(sp1.basis.columns, sp2.basis.columns)
+    action = apply_chain(fld, tup, x, Permutation.block_swap(n), block)
+    return restrict_action((SubspaceBasis(block),), action)[0]
+
 
 class TestFusedRMatrix:
+    def test_staged_restriction_matches_kron_route(self, nf, ps):
+        for n in (2, 3):
+            for sign in (1, -1):
+                ref = _kron_route(nf, n, ps.u, ps.v, ps.x, sign)
+                got = fused_rmatrix(nf, n, ps.u, ps.v, ps.x, sign).mat
+                assert (np.linalg.norm(got - ref)
+                        < 1e-12 * np.linalg.norm(ref)), (n, sign)
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_staged_restriction_matches_kron_route_exact(self, ef, sign):
+        ref = _kron_route(ef, 2, ef.u, ef.v, ef.x, sign)
+        got = fused_rmatrix(ef, 2, ef.u, ef.v, ef.x, sign).mat
+        assert got.shape == ref.shape == (64, 64)
+        assert all(a == b for a, b in zip(got.flat, ref.flat))
+
     def test_single_leg_degenerates_to_elementary(self, nf, ps):
         fused = fused_rmatrix(nf, 1, ps.u, ps.v, ps.x, 1)
         assert np.allclose(fused.mat, vector_rmatrix(nf, ps.u, ps.v, ps.x).mat)
@@ -306,3 +394,15 @@ class TestFusedYBE:
                                  tol=1e-8, shift=1)
         assert not report.passed
         assert report.residual > 1e-3
+
+    def test_four_legs(self):
+        ps = sample_params(0)
+        fld = NumericField(ps.q)
+        for sign in (1, -1):
+            assert fused_space(fld, 4, ps.x, sign).dim == 16
+            report = check_fused_ybe(fld, 4, sign, ps.u, ps.v, ps.w, ps.x,
+                                     tol=1e-7)
+            assert report.passed, (sign, report.residual)
+        control = check_fused_ybe(fld, 4, 1, ps.u, ps.v, ps.w, ps.x,
+                                  tol=1e-7, shift=3)
+        assert control.residual > 1e-3
