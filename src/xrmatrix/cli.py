@@ -217,7 +217,6 @@ def _cmd_fusion_report(args) -> int:
         payload[f"constant_{label}"] = {"re": const.real, "im": const.imag}
     _, payload["invariance_residual"] = fused_restriction(
         fld, args.n, ps.u, ps.v, ps.x, cfg.sign)
-    # --tol sets the YBE verdict only; the constructions keep their guards.
     # fusion-report has no --samples: the level runs at --seed alone
     ybe, = run_suite("fused-ybe", cfg)
     payload["ybe_residual"] = ybe.residual

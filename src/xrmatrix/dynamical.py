@@ -22,7 +22,10 @@ import numpy as np
 from .fusion import fused_builder
 from .reports import CheckReport
 from .rmatrix import ybe_residual
-from .tensorops import Operator, apply_at_legs, residual
+from .tensorops import Operator, apply_at_legs, passes, residual
+
+# e^a must lie within this distance of q, relative to max(|q|, 1)
+BRANCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -41,12 +44,6 @@ class WeightedSpace:
         if seen != list(range(self.dim)):
             raise ValueError("weight blocks must partition the coordinates")
 
-    def weight_of(self, coordinate: int):
-        for value, idx in self.blocks:
-            if coordinate in idx:
-                return value
-        raise IndexError(coordinate)
-
 
 def single_weight_space(dim: int, value) -> WeightedSpace:
     return WeightedSpace(dim=dim, blocks=((value, tuple(range(dim))),))
@@ -55,11 +52,11 @@ def single_weight_space(dim: int, value) -> WeightedSpace:
 class DynamicalRMatrix:
     """R''(u, v, lam) = fused R at deformation parameter e^{a lam}."""
 
-    def __init__(self, fld, n: int, sign: int, a: complex,
-                 tol: float = 1e-9):
+    def __init__(self, fld, n: int, sign: int, a: complex):
         if fld.backend != "numeric":
             raise ValueError("the dynamical wrapper needs the numeric backend")
-        if abs(cmath.exp(a) - fld.q) > tol * max(abs(fld.q), 1.0):
+        if not passes(abs(cmath.exp(a) - fld.q) / max(abs(fld.q), 1.0),
+                      False, BRANCH_TOL):
             raise ValueError(
                 f"e^a = {cmath.exp(a):.6g} does not match q = {fld.q:.6g}")
         self.field = fld
@@ -68,7 +65,7 @@ class DynamicalRMatrix:
         self.a = complex(a)
         # restriction invariance residual of every fused factor built
         self.residuals = []
-        self.builder = fused_builder(fld, n, sign, self.residuals, tol=tol)
+        self.builder = fused_builder(fld, n, sign, self.residuals)
 
     def deformation(self, lam: complex) -> complex:
         return cmath.exp(self.a * lam)
@@ -112,9 +109,7 @@ def check_dynamical_ybe(fld, n: int, sign: int, u, v, w, lam: complex,
     With the genuine single weight -n this reduces to the twisted YBE
     with middle-leg parameter q^n x, and the checker paths coincide, so
     the residual equals the twisted one bitwise on identical operands.
-    A fake weight (e.g. -(n+1)) makes it fail.  tol is the verdict
-    threshold only; the fused construction keeps its own default
-    tolerance, as in check_fused_ybe.  details carry the worst
+    A fake weight (e.g. -(n+1)) makes it fail.  details carry the worst
     restriction invariance residual of the fused factors built.
     """
     if a is None:
@@ -151,7 +146,7 @@ def check_dynamical_ybe(fld, n: int, sign: int, u, v, w, lam: complex,
         # ||R (x) I_d|| = sqrt(d) ||R|| for each of the two 12-slot factors
         res = residual(lhs - rhs, [r_vw, m23_uw, r_uv]) / d
     return CheckReport(
-        name="dynamical-ybe", residual=res, passed=res < tol,
+        name="dynamical-ybe", residual=res, passed=passes(res, False, tol),
         details={"n": n, "sign": sign,
                  "lambda": {"re": complex(lam).real, "im": complex(lam).imag},
                  "branch_a": {"re": complex(a).real, "im": complex(a).imag},

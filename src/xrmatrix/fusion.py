@@ -23,17 +23,18 @@ import numpy as np
 
 from .permutations import Permutation, concat_tuples
 from .reports import CheckReport, scalar_to_json
-from .rmatrix import RMatrixBuilder, check_twisted_ybe, vector_rmatrix
-from .superalgebra import (_ALL_TAGS, GENERATORS, LocalRep, coproduct_image,
-                           tuple_rep)
+from .rmatrix import (RMatrixBuilder, _intertwining_report,
+                      check_twisted_ybe, vector_rmatrix)
+from .superalgebra import _ALL_TAGS, LocalRep, ProductRep, tuple_rep
 from .tensorops import (Operator, SubspaceBasis, _is_exact, apply_at_legs,
-                        column_space, residual, restrict, restrict_action)
+                        column_space, passes, residual, restrict,
+                        restrict_action)
 
 _MAX_SYMMETRIC_GROUP = 6
 
-
-def _fails(dev: float, exact: bool, tol: float) -> bool:
-    return dev != 0.0 if exact else dev > tol
+# the relative residual the Hecke probe pair, the symmetrizer relations
+# and the reversal-chain proportionality must stay below
+GUARD_TOL = 1e-10
 
 
 def q_profile(fld, n: int, sign: int):
@@ -72,7 +73,7 @@ def apply_chain(fld, a, x, perm: Permutation, block: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Hecke representation
 
-def hecke_generator_images(fld, n: int, x, tol: float = 1e-9):
+def hecke_generator_images(fld, n: int, x):
     """pi(h_i) for i = 1..n-1, each on its own two legs (i, i+1), with a
     two-probe consistency guard.
 
@@ -92,7 +93,7 @@ def hecke_generator_images(fld, n: int, x, tol: float = 1e-9):
             r = vector_rmatrix(fld, u, v, fld.q_power(i) * x).mat
             imgs.append((r - eye2 * (v * (q2 - one))) * (one / (u - v)))
         dev = residual(imgs[0] - imgs[1], [imgs[0]])
-        if _fails(dev, fld.backend == "exact", tol):
+        if not passes(dev, fld.backend == "exact", GUARD_TOL):
             raise RuntimeError(
                 f"hecke image at leg {i + 1} depends on the probe pair "
                 f"(residual {dev:.3e}); transcription bug"
@@ -106,9 +107,9 @@ def check_hecke_relations(fld, n: int, x, tol: float = 1e-10) -> CheckReport:
 
     Every product applies a two-leg image to the embedded image of
     another generator (or to h + 1), so no dense n-leg product is
-    formed.  tol sets the verdict only; the probe guard keeps 1e-10.
+    formed.
     """
-    pair = hecke_generator_images(fld, n, x, tol=1e-10)
+    pair = hecke_generator_images(fld, n, x)
     legs = (4,) * n
     eye = fld.eye(4 ** n)
 
@@ -124,7 +125,7 @@ def check_hecke_relations(fld, n: int, x, tol: float = 1e-10) -> CheckReport:
     def note(name, delta, operands):
         nonlocal worst
         dev = residual(delta, operands)
-        if _fails(dev, exact, tol):
+        if not passes(dev, exact, tol):
             failed.append(name)
         worst = max(worst, dev)
 
@@ -138,8 +139,8 @@ def check_hecke_relations(fld, n: int, x, tol: float = 1e-10) -> CheckReport:
         for j in range(i + 2, len(hs)):
             note(f"commute h_{i+1} h_{j+1}",
                  act(i, hs[j]) - act(j, hs[i]), [hs[i], hs[j]])
-    passed = (worst == 0.0) if exact else (worst < tol)
-    return CheckReport(name="hecke-relations", residual=worst, passed=passed,
+    return CheckReport(name="hecke-relations", residual=worst,
+                       passed=passes(worst, exact, tol),
                        exact=exact, details={"n": n, "failed": failed})
 
 
@@ -154,7 +155,7 @@ class Symmetrizer:
     n: int
 
 
-def symmetrizer(fld, n: int, x, sign: int, tol: float = 1e-9) -> Symmetrizer:
+def symmetrizer(fld, n: int, x, sign: int) -> Symmetrizer:
     """Image of the full q-(anti)symmetrizer under the Hecke action.
 
     The symmetrizer sum_w c^len(w) pi(T_w) over S_n, with c = 1 (sign +)
@@ -168,7 +169,7 @@ def symmetrizer(fld, n: int, x, sign: int, tol: float = 1e-9) -> Symmetrizer:
     """
     if not 1 <= n <= _MAX_SYMMETRIC_GROUP:
         raise ValueError(f"n must be between 1 and {_MAX_SYMMETRIC_GROUP}")
-    hs = hecke_generator_images(fld, n, x, tol)
+    hs = hecke_generator_images(fld, n, x)
     legs = (4,) * n
     exact = fld.backend == "exact"
     c = fld.one if sign > 0 else -fld.q_power(-2)
@@ -186,10 +187,10 @@ def symmetrizer(fld, n: int, x, sign: int, tol: float = 1e-9) -> Symmetrizer:
     for i, h in enumerate(hs):
         dev = residual(apply_at_legs(h, i + 1, legs, total) - total * eig,
                        [h.mat, total])
-        if _fails(dev, exact, tol):
+        if not passes(dev, exact, GUARD_TOL):
             raise RuntimeError(f"symmetrizer eigen-relation fails at h_{i+1}")
     dev = residual(total @ total - total * constant, [total, total])
-    if _fails(dev, exact, tol):
+    if not passes(dev, exact, GUARD_TOL):
         raise RuntimeError("symmetrizer square constant fails")
     op = Operator(total, legs)
     return Symmetrizer(op=op, constant=constant,
@@ -200,15 +201,14 @@ def symmetrizer(fld, n: int, x, sign: int, tol: float = 1e-9) -> Symmetrizer:
 # ---------------------------------------------------------------------------
 # the proportionality constant of the reversal chain
 
-def fusion_constant(fld, n: int, u, x, sign: int, sym: Symmetrizer = None,
-                    tol: float = 1e-9):
+def fusion_constant(fld, n: int, u, x, sign: int, sym: Symmetrizer = None):
     """Ratio of the reversal chain at u*profile to the symmetrizer image,
     divided by u^len; depends on q alone (checked by the callers)."""
     gam = Permutation.reversal(n)
     tup = tuple(u * p for p in q_profile(fld, n, sign))
     chain = chain_rmatrix(fld, tup, x, gam)
     if sym is None:
-        sym = symmetrizer(fld, n, x, sign, tol=tol)
+        sym = symmetrizer(fld, n, x, sign)
     smat = sym.op.mat
     if _is_exact(smat):
         idx = next(i for i, s in np.ndenumerate(smat) if not s.is_zero)
@@ -216,7 +216,7 @@ def fusion_constant(fld, n: int, u, x, sign: int, sym: Symmetrizer = None,
         idx = np.unravel_index(int(np.argmax(np.abs(smat))), smat.shape)
     ratio = chain.mat[idx] / smat[idx]
     dev = residual(chain.mat - smat * ratio, [chain.mat])
-    if _fails(dev, fld.backend == "exact", tol):
+    if not passes(dev, fld.backend == "exact", GUARD_TOL):
         raise RuntimeError(
             f"reversal chain is not proportional to the symmetrizer "
             f"(residual {dev:.3e})"
@@ -226,10 +226,7 @@ def fusion_constant(fld, n: int, u, x, sign: int, sym: Symmetrizer = None,
 
 def check_fusion_constant(fld, n: int, x, sign: int, u_probes, x_probes,
                           tol: float = 1e-9) -> CheckReport:
-    """Constant extraction plus independence from the u and x probes.
-
-    tol sets the verdict only; the constructions keep their defaults.
-    """
+    """Constant extraction plus independence from the u and x probes."""
     exact = fld.backend == "exact"
 
     def deviation(a, b):
@@ -245,9 +242,9 @@ def check_fusion_constant(fld, n: int, x, sign: int, u_probes, x_probes,
     for x2 in x_probes:
         worst = max(worst, deviation(
             fusion_constant(fld, n, u_probes[0], x2, sign), ref))
-    passed = (worst == 0.0) if exact else (worst < tol)
     return CheckReport(name=f"fusion-constant-{'plus' if sign > 0 else 'minus'}",
-                       residual=worst, passed=passed, exact=exact,
+                       residual=worst, passed=passes(worst, exact, tol),
+                       exact=exact,
                        details={"constant": scalar_to_json(ref), "n": n})
 
 
@@ -268,11 +265,11 @@ class FusedSpace:
         return self.basis.dim
 
 
-def fused_space(fld, n: int, x, sign: int, sym: Symmetrizer = None,
-                tol: float = 1e-9) -> FusedSpace:
+def fused_space(fld, n: int, x, sign: int,
+                sym: Symmetrizer = None) -> FusedSpace:
     if sym is None:
-        sym = symmetrizer(fld, n, x, sign, tol=tol)
-    basis = column_space(sym.normalized.mat, tol)
+        sym = symmetrizer(fld, n, x, sign)
+    basis = column_space(sym.normalized.mat)
     if basis.dim == 0:
         raise RuntimeError("symmetrizer image is zero")
     return FusedSpace(sign=sign, n=n, x=x, basis=basis)
@@ -295,8 +292,7 @@ def _twisted_basis(fld, basis: SubspaceBasis, lam, n: int) -> SubspaceBasis:
     return SubspaceBasis(basis.columns * weights[:, None])
 
 
-def fused_restriction(fld, n: int, u, v, x, sign: int, spaces=None,
-                      tol: float = 1e-9):
+def fused_restriction(fld, n: int, u, v, x, sign: int, spaces=None):
     """The chained R-matrix over the block swap, restricted to the
     fused subspace pair at (x, q^n x), and its invariance residual.
 
@@ -314,8 +310,8 @@ def fused_restriction(fld, n: int, u, v, x, sign: int, spaces=None,
     returned is the worst over the stages and the last solve.
     """
     if spaces is None:
-        spaces = (fused_space(fld, n, x, sign, tol=tol),
-                  fused_space(fld, n, fld.q_power(n) * x, sign, tol=tol))
+        spaces = (fused_space(fld, n, x, sign),
+                  fused_space(fld, n, fld.q_power(n) * x, sign))
     sp1, sp2 = spaces
     bases = ([sp1.basis]
              + [_twisted_basis(fld, sp1.basis, fld.q_power(p), n)
@@ -334,7 +330,7 @@ def fused_restriction(fld, n: int, u, v, x, sign: int, spaces=None,
         lo, hi = bases[p], bases[p + 1]
         action = apply_chain(fld, (a[p],) + a[n:], fld.q_power(p) * x, cycle,
                              np.kron(fld.eye(4), hi.columns))
-        stage, rel = restrict_action((lo, four), action, tol)
+        stage, rel = restrict_action((lo, four), action)
         worst = max(worst, rel)
         # S_p takes legs (4, d) at (p, p+1) to (d, 4)
         state = apply_at_legs(Operator(stage, (4, hi.dim)), p + 1, legs,
@@ -342,35 +338,37 @@ def fused_restriction(fld, n: int, u, v, x, sign: int, spaces=None,
         legs[p], legs[p + 1] = lo.dim, 4
     # block 1, now on the last n legs, lies in the fused space at q^n x
     small, rel = restrict_action((SubspaceBasis(fld.eye(sp1.dim)), sp2.basis),
-                                 state, tol)
+                                 state)
     return Operator(small, (sp1.dim, sp2.dim)), max(worst, rel)
 
 
-def fused_rmatrix(fld, n: int, u, v, x, sign: int, spaces=None,
-                  tol: float = 1e-9) -> Operator:
+def fused_rmatrix(fld, n: int, u, v, x, sign: int, spaces=None) -> Operator:
     """The fused R-matrix: fused_restriction without its residual."""
-    return fused_restriction(fld, n, u, v, x, sign, spaces, tol)[0]
+    return fused_restriction(fld, n, u, v, x, sign, spaces)[0]
 
 
-def fused_builder(fld, n: int, sign: int, residuals: list,
-                  tol: float = 1e-9) -> RMatrixBuilder:
+def fused_builder(fld, n: int, sign: int, residuals: list) -> RMatrixBuilder:
     """Builder over the fused family; caches fused spaces per parameter,
     so the builds at x and q^n x share the space at q^n x.
 
-    Each build appends its restriction invariance residual to residuals.
+    The cache is a short list searched with ==, which compares complex
+    parameters by value and exact ones as rational functions (they are
+    not hashable).  Each build appends its restriction invariance
+    residual to residuals.
     """
-    cache = {}
+    cache = []
 
     def space_at(y):
-        key = complex(y) if fld.backend == "numeric" else id(y)
-        if key not in cache:
-            cache[key] = fused_space(fld, n, y, sign, tol=tol)
-        return cache[key]
+        for key, space in cache:
+            if key == y:
+                return space
+        cache.append((y, fused_space(fld, n, y, sign)))
+        return cache[-1][1]
 
     def build(u, v, y):
         rmat, rel = fused_restriction(
             fld, n, u, v, y, sign,
-            spaces=(space_at(y), space_at(fld.q_power(n) * y)), tol=tol)
+            spaces=(space_at(y), space_at(fld.q_power(n) * y)))
         residuals.append(rel)
         return rmat
 
@@ -383,8 +381,7 @@ def check_projector_commutation(fld, n: int, u, v, x, sign: int,
     """Block-swap chain commutes with the doubled symmetrizer.
 
     sabotage_shift misplaces the second-block parameter by one extra
-    power of q, a negative control pinning the q^n shift.  tol sets
-    the verdict only; the symmetrizers keep their default guards.
+    power of q, a negative control pinning the q^n shift.
     """
     gam = Permutation.reversal(n)
     tau = Permutation.block_swap(n)
@@ -402,53 +399,36 @@ def check_projector_commutation(fld, n: int, u, v, x, sign: int,
     # the equality is between two products; normalize by one side
     res = residual(delta, [lhs_side])
     exact = fld.backend == "exact"
-    passed = (res == 0.0) if exact else (res < tol)
     return CheckReport(name="projector-commutation", residual=res,
-                       passed=passed, exact=exact,
+                       passed=passes(res, exact, tol), exact=exact,
                        details={"sign": sign, "sabotaged": sabotage_shift})
 
 
 # ---------------------------------------------------------------------------
 # the fused representation
 
-def fused_local_rep(fld, n: int, u, x, sign: int, space: FusedSpace = None,
-                    tol: float = 1e-9, verify_twist: bool = True) -> LocalRep:
+def fused_local_rep(fld, n: int, u, x, sign: int,
+                    space: FusedSpace = None) -> LocalRep:
     """Generator images restricted to the fused space.
 
     Invariance of the fused space under the reversed-profile tuple
-    representation is enforced by the restriction itself.  The twist
-    consistency law (scaling the affine pair by u) is verified against
-    the untwisted restriction when verify_twist is set.
+    representation is enforced by the restriction itself.
     """
     if space is None:
-        space = fused_space(fld, n, x, sign, tol=tol)
+        space = fused_space(fld, n, x, sign)
     gam = Permutation.reversal(n)
     prof = q_profile(fld, n, sign)
     base = tuple_rep(fld, gam.act(tuple(u * p for p in prof)), x)
     legs = (4,) * n
-    images = {}
-    for tag in _ALL_TAGS:
-        images[tag] = restrict(Operator(base.image(tag), legs),
-                               space.basis, tol).mat
-    if verify_twist:
-        plain = tuple_rep(fld, gam.act(prof), x)
-        for tag, scale in (("E0", fld.one / u), ("F0", u)):
-            ref = restrict(Operator(plain.image(tag), legs),
-                           space.basis, tol).mat * scale
-            dev = residual(images[tag] - ref, [ref])
-            if _fails(dev, fld.backend == "exact", tol):
-                raise RuntimeError(
-                    f"twist consistency fails for {tag} (residual {dev:.3e})")
+    images = {tag: restrict(Operator(base.image(tag), legs), space.basis).mat
+              for tag in _ALL_TAGS}
     return LocalRep(fld, x, images)
 
 
 def check_fused_intertwining(fld, n: int, u, v, x, sign: int,
                              tol: float = 1e-9,
                              identity_control: bool = False) -> CheckReport:
-    """The fused R-matrix intertwines the swapped fused coproduct reps.
-
-    tol sets the verdict only; the constructions keep their defaults.
-    """
+    """The fused R-matrix intertwines the swapped fused coproduct reps."""
     xs = fld.q_power(n) * x
     sp1 = fused_space(fld, n, x, sign)
     sp2 = fused_space(fld, n, xs, sign)
@@ -456,29 +436,12 @@ def check_fused_intertwining(fld, n: int, u, v, x, sign: int,
         rmat = fld.eye(sp1.dim * sp2.dim)
     else:
         rmat = fused_rmatrix(fld, n, u, v, x, sign, spaces=(sp1, sp2)).mat
-    rep_u1 = fused_local_rep(fld, n, u, x, sign, space=sp1,
-                             verify_twist=False)
-    rep_v2 = fused_local_rep(fld, n, v, xs, sign, space=sp2,
-                             verify_twist=False)
-    rep_v1 = fused_local_rep(fld, n, v, x, sign, space=sp1,
-                             verify_twist=False)
-    rep_u2 = fused_local_rep(fld, n, u, xs, sign, space=sp2,
-                             verify_twist=False)
-    exact = fld.backend == "exact"
-    worst = 0.0
-    worst_gen = None
-    for tag in GENERATORS:
-        a = coproduct_image(tag, [rep_u1, rep_v2])
-        b = coproduct_image(tag, [rep_v1, rep_u2])
-        res = residual(rmat @ a - b @ rmat, [rmat, a])
-        if worst_gen is None or res > worst:
-            worst_gen = tag
-        worst = max(worst, res)
-    passed = (worst == 0.0) if exact else (worst < tol)
-    return CheckReport(name="fused-intertwining", residual=worst,
-                       passed=passed, exact=exact,
-                       details={"sign": sign, "n": n,
-                                "worst_generator": worst_gen})
+    rep_uv = ProductRep([fused_local_rep(fld, n, u, x, sign, space=sp1),
+                         fused_local_rep(fld, n, v, xs, sign, space=sp2)])
+    rep_vu = ProductRep([fused_local_rep(fld, n, v, x, sign, space=sp1),
+                         fused_local_rep(fld, n, u, xs, sign, space=sp2)])
+    return _intertwining_report(fld, "fused-intertwining", rmat, rep_uv,
+                                rep_vu, tol, sign=sign, n=n)
 
 
 def check_fused_ybe(fld, n: int, sign: int, u, v, w, x, tol: float = 1e-8,

@@ -18,7 +18,7 @@ from .cartan import theta
 from .reports import CheckReport
 from .superalgebra import GENERATORS, tensor_square_bases, tuple_rep
 from .tensorops import (Operator, _is_exact, apply_at_legs, exact_inverse,
-                        residual, shared_leg_product)
+                        passes, residual, shared_leg_product)
 
 
 def tensor_projectors(fld, x):
@@ -83,28 +83,34 @@ def check_forms_equal(fld, u, v, x, tol: float = 1e-12) -> CheckReport:
     spectral = vector_rmatrix_spectral(fld, u, v, x)
     res = residual(spectral.mat - explicit.mat, [explicit.mat])
     exact = fld.backend == "exact"
-    passed = (res == 0.0) if exact else (res < tol)
-    return CheckReport(name="r-forms-equal", residual=res, passed=passed,
-                       exact=exact)
+    return CheckReport(name="r-forms-equal", residual=res,
+                       passed=passes(res, exact, tol), exact=exact)
 
 
-def check_intertwining(fld, r: Operator, u, v, x,
-                       tol: float = 1e-10) -> CheckReport:
-    """R rho_{u,v}(X) = rho_{v,u}(X) R for all thirteen generators."""
-    rep_uv = tuple_rep(fld, (u, v), x)
-    rep_vu = tuple_rep(fld, (v, u), x)
-    exact = fld.backend == "exact"
+def _intertwining_report(fld, name: str, rmat: np.ndarray, rep_uv, rep_vu,
+                         tol: float, **details) -> CheckReport:
+    """R rep_uv(X) = rep_vu(X) R for all thirteen generators; details
+    gain the generator with the worst residual."""
     worst = 0.0
     worst_gen = None
     for tag in GENERATORS:
         a = rep_uv.image(tag)
         b = rep_vu.image(tag)
-        res = residual(r.mat @ a - b @ r.mat, [r.mat, a])
+        res = residual(rmat @ a - b @ rmat, [rmat, a])
         if res > worst or worst_gen is None:
             worst, worst_gen = max(worst, res), tag
-    passed = (worst == 0.0) if exact else (worst < tol)
-    return CheckReport(name="intertwining", residual=worst, passed=passed,
-                       exact=exact, details={"worst_generator": worst_gen})
+    exact = fld.backend == "exact"
+    return CheckReport(name=name, residual=worst,
+                       passed=passes(worst, exact, tol), exact=exact,
+                       details={**details, "worst_generator": worst_gen})
+
+
+def check_intertwining(fld, r: Operator, u, v, x,
+                       tol: float = 1e-10) -> CheckReport:
+    """R rho_{u,v}(X) = rho_{v,u}(X) R for all thirteen generators."""
+    return _intertwining_report(fld, "intertwining", r.mat,
+                                tuple_rep(fld, (u, v), x),
+                                tuple_rep(fld, (v, u), x), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +186,7 @@ def check_twisted_ybe(fld, builder: RMatrixBuilder, u, v, w, x,
     mats = twisted_ybe_factors(fld, builder, u, v, w, x, shift)
     res = ybe_residual(mats)
     exact = fld.backend == "exact"
-    passed = (res == 0.0) if exact else (res < tol)
+    passed = passes(res, exact, tol)
     used_shift = builder.shift_exponent if shift is None else shift
     return CheckReport(name=name, residual=res, passed=passed, exact=exact,
                        details={"shift_exponent": used_shift})

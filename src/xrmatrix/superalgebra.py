@@ -21,7 +21,7 @@ from .cartan import parity, root_pairing, theta, weight_pairing
 from .reports import CheckReport, scalar_to_json
 from .scalars import NumericField
 from .tensorops import (Operator, SubspaceBasis, matrix_rank, matrix_unit,
-                        residual, restrict, restrict_action)
+                        passes, residual, restrict, restrict_action)
 
 GENERATORS = ("s",) + tuple(f"K{i}" for i in range(4)) + \
     tuple(f"E{i}" for i in range(4)) + tuple(f"F{i}" for i in range(4))
@@ -194,7 +194,7 @@ def check_relations(rep, tol: float = 1e-10) -> CheckReport:
     def note(name, delta, operands):
         nonlocal worst
         r = residual(delta, operands)
-        if (r != 0.0) if exact else (r >= tol):
+        if not passes(r, exact, tol):
             failed.append(name)
         worst = max(worst, r)
 
@@ -244,9 +244,9 @@ def check_relations(rep, tol: float = 1e-10) -> CheckReport:
             note(f"{name} commutes with {g}", c @ gi - gi @ c,
                  built_from + [gi] if not exact else [])
 
-    passed = (worst == 0.0) if exact else (worst < tol)
     return CheckReport(
-        name="relations", residual=worst, passed=passed, exact=exact,
+        name="relations", residual=worst, passed=passes(worst, exact, tol),
+        exact=exact,
         details={"central_scalars": central_scalars, "failed": failed},
     )
 
@@ -295,7 +295,8 @@ def check_tensor_square(fld, x, y, tol: float = 1e-10) -> CheckReport:
     Both spans are invariant precisely at y = qx; the report records the
     worst invariance residual of each span (restrict_action's, relative
     to max(||M B||, ||B||); inf when an exact solve is inconsistent) and
-    the joint rank.
+    the joint rank, decided at the rank threshold of matrix_rank rather
+    than at tol.
     """
     reps = [vector_rep(fld, x), vector_rep(fld, y)]
     basis1, basis2 = tensor_square_bases(fld, x, y)
@@ -312,17 +313,19 @@ def check_tensor_square(fld, x, y, tol: float = 1e-10) -> CheckReport:
             res[k] = max(res[k], r)
     res1, res2 = res
     joint = np.concatenate([basis1.columns, basis2.columns], axis=1)
-    rank = matrix_rank(joint, tol)
-    passed = res1 < tol and res2 < tol and rank == 16
+    rank = matrix_rank(joint)
+    exact = fld.backend == "exact"
+    passed = (passes(res1, exact, tol) and passes(res2, exact, tol)
+              and rank == 16)
     return CheckReport(
         name="tensor-square-split", residual=max(res1, res2), passed=passed,
-        exact=fld.backend == "exact",
+        exact=exact,
         details={"v1_residual": res1, "v2_residual": res2,
                  "joint_rank": int(rank)},
     )
 
 
-def tensor_square_restrictions(fld, x, tol: float = 1e-9):
+def tensor_square_restrictions(fld, x):
     """Finite-part generator images restricted to the two submodules
     at the closing point y = qx.  Used by the irreducibility probes."""
     y = fld.q * x
@@ -331,8 +334,8 @@ def tensor_square_restrictions(fld, x, tol: float = 1e-9):
     fam1, fam2 = [], []
     for tag in FINITE_GENERATORS:
         m = Operator(coproduct_image(tag, reps), (4, 4))
-        fam1.append(restrict(m, basis1, tol))
-        fam2.append(restrict(m, basis2, tol))
+        fam1.append(restrict(m, basis1))
+        fam2.append(restrict(m, basis2))
     return fam1, fam2
 
 

@@ -22,6 +22,12 @@ import numpy as np
 
 from .scalars import RationalFunction
 
+# relative pivot threshold of the numeric rank decisions
+RANK_TOL = 1e-9
+# the relative residual below which restrict_action calls a subspace
+# invariant
+INVARIANCE_TOL = 1e-9
+
 
 def _is_exact(mat: np.ndarray) -> bool:
     return mat.dtype == object
@@ -51,6 +57,12 @@ def residual(delta: np.ndarray, operands=()) -> float:
     return frobenius(delta) / scale
 
 
+def passes(res: float, exact: bool, tol: float) -> bool:
+    """The one pass rule of every check and construction guard: an exact
+    residual passes iff it is 0, a numeric one iff it is below tol."""
+    return res == 0.0 if exact else res < tol
+
+
 @dataclass(frozen=True)
 class Operator:
     """Square matrix acting on an ordered tensor product of legs."""
@@ -74,19 +86,8 @@ class Operator:
             raise ValueError("operator dimensions differ")
         return Operator(self.mat @ other.mat, self.legs)
 
-    def __add__(self, other: "Operator") -> "Operator":
-        return Operator(self.mat + other.mat, self.legs)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        return Operator(self.mat - other.mat, self.legs)
-
     def scaled(self, s) -> "Operator":
         return Operator(self.mat * s, self.legs)
-
-    def to_json(self) -> dict:
-        from .reports import matrix_to_json
-
-        return matrix_to_json(self.mat, self.legs)
 
 
 @dataclass(frozen=True)
@@ -190,13 +191,13 @@ def shared_leg_product(first: Operator, pos: int,
 # ---------------------------------------------------------------------------
 # rank / pivot machinery
 
-def _numeric_pivot_columns(mat: np.ndarray, tol: float):
+def _numeric_pivot_columns(mat: np.ndarray):
     a = np.array(mat, dtype=np.complex128)
     m, n = a.shape
     scale = np.max(np.abs(a)) if a.size else 0.0
     if scale == 0.0:
         return []
-    thresh = tol * scale
+    thresh = RANK_TOL * scale
     piv = []
     r = 0
     for j in range(n):
@@ -251,20 +252,21 @@ def _exact_pivot_columns(mat: np.ndarray):
     return piv
 
 
-def matrix_rank(mat: np.ndarray, tol: float = 1e-9) -> int:
+def _pivot_columns(mat: np.ndarray):
     if _is_exact(mat):
-        return len(_exact_pivot_columns(mat))
-    return len(_numeric_pivot_columns(mat, tol))
+        return _exact_pivot_columns(mat)
+    return _numeric_pivot_columns(mat)
 
 
-def column_space(mat, tol: float = 1e-9) -> SubspaceBasis:
+def matrix_rank(mat: np.ndarray) -> int:
+    return len(_pivot_columns(mat))
+
+
+def column_space(mat) -> SubspaceBasis:
     """Basis of the column space: the pivot columns of the input itself."""
     if isinstance(mat, Operator):
         mat = mat.mat
-    if _is_exact(mat):
-        piv = _exact_pivot_columns(mat)
-    else:
-        piv = _numeric_pivot_columns(mat, tol)
+    piv = _pivot_columns(mat)
     return SubspaceBasis(mat[:, piv] if piv else mat[:, :0])
 
 
@@ -336,7 +338,7 @@ def _matmul_at_leg(mat: np.ndarray, k: int, arr: np.ndarray) -> np.ndarray:
     return out.reshape(arr.shape[:k] + (mat.shape[0],) + arr.shape[k + 1:])
 
 
-def restrict_action(bases, action: np.ndarray, tol: float = 1e-9):
+def restrict_action(bases, action: np.ndarray, tol: float = INVARIANCE_TOL):
     """Given the columns action = M*B with B = kron(B_1, ..., B_k), solve
     B*S = M*B one tensor factor at a time.
 
@@ -351,7 +353,8 @@ def restrict_action(bases, action: np.ndarray, tol: float = 1e-9):
     Returns (S, relative residual), the residual being
     ||B*S - action|| / max(||action||, ||B||) with ||B|| = prod ||B_i||.
     Raises ValueError naming the worst offending column when the
-    subspace is not invariant.
+    subspace is not invariant: on the numeric backend, when the residual
+    does not pass tol, which math.inf leaves to non-finite residuals.
     """
     cols = [b.columns for b in bases]
     r = action.shape[1]
@@ -374,7 +377,7 @@ def restrict_action(bases, action: np.ndarray, tol: float = 1e-9):
     scale = max(frobenius(action), math.prod(frobenius(b) for b in cols),
                 1e-300)
     rel = frobenius(delta) / scale
-    if rel > tol:
+    if not passes(rel, False, tol):
         col_norms = np.linalg.norm(delta, axis=0)
         worst = int(np.argmax(col_norms))
         raise ValueError(
@@ -384,17 +387,17 @@ def restrict_action(bases, action: np.ndarray, tol: float = 1e-9):
     return s.reshape(-1, r), rel
 
 
-def restrict(m: Operator, basis: SubspaceBasis, tol: float = 1e-9) -> Operator:
+def restrict(m: Operator, basis: SubspaceBasis) -> Operator:
     """Matrix of m on the subspace, in the given basis."""
     action = m.mat @ basis.columns
-    s, _ = restrict_action((basis,), action, tol)
+    s, _ = restrict_action((basis,), action)
     return Operator(s, (basis.dim,))
 
 
 # ---------------------------------------------------------------------------
 # commutant probe
 
-def commutant_dimension(ops, tol: float = 1e-9) -> int:
+def commutant_dimension(ops) -> int:
     """dim of {M : M*A = A*M for all A}, via the stacked linear system.
 
     Row-major vectorization: vec(MA - AM) = (I (x) A^T - A (x) I) vec(M).
@@ -407,4 +410,4 @@ def commutant_dimension(ops, tol: float = 1e-9) -> int:
         a = np.asarray(a, dtype=np.complex128)
         blocks.append(np.kron(eye, a.T) - np.kron(a, eye))
     stacked = np.vstack(blocks)
-    return d * d - matrix_rank(stacked, tol)
+    return d * d - matrix_rank(stacked)

@@ -161,7 +161,7 @@ def test_06_hecke_suite():
             ok = ok and rep.passed
             worst = max(worst, rep.residual)
             for sign in (1, -1):
-                sym = symmetrizer(fld, n, ps.x, sign, tol=1e-10)
+                sym = symmetrizer(fld, n, ps.x, sign)
                 t = fld.q ** (2 * sign)
                 expected = 1.0 + 0j
                 for k in range(2, n + 1):
@@ -300,8 +300,7 @@ def test_12_irreducibility_probes():
         dims.append(commutant_dimension([f.mat for f in fam1]))
         dims.append(commutant_dimension([f.mat for f in fam2]))
         for sign in (1, -1):
-            fused = fused_local_rep(fld, 2, ps.u, ps.x, sign,
-                                    verify_twist=False)
+            fused = fused_local_rep(fld, 2, ps.u, ps.x, sign)
             dims.append(commutant_dimension(
                 [fused.image(t) for t in GENERATORS]))
         ok = dims == [1, 1, 1, 1, 1]

@@ -63,6 +63,22 @@ def test_check_lemma1_defaults_to_closing_point(capsys):
     assert json.loads(out)["pass"] is True
 
 
+def test_check_lemma1_looser_tolerance_still_passes(capsys):
+    # --tol is the verdict alone: the joint rank keeps its own threshold
+    for tol in ("0.9", "1.5"):
+        code, out = run(capsys, "check-lemma1", "--tol", tol)
+        blob = json.loads(out)
+        assert code == 0 and blob["pass"] is True, tol
+        assert blob["details"]["joint_rank"] == 16, tol
+
+
+def test_exact_split_passes_at_zero_tolerance(capsys):
+    # an exact residual passes iff it is 0, whatever --tol says
+    code, out = run(capsys, "verify", "lemma1", "--backend", "exact",
+                    "--tol", "0")
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
 def test_single_checks_report_the_point_they_ran(capsys):
     sampled = sample_params(7).to_json()
     code, out = run(capsys, "check-ybe", "--q", "1.2,0.3", "--samples", "1")

@@ -11,13 +11,14 @@ from xrmatrix import (GENERATORS, NumericField, chain_rmatrix,
                       fused_space, fusion_constant, hecke_generator_images,
                       q_profile, sample_params, symmetrizer,
                       tensor_projectors, tuple_rep, vector_rmatrix)
+from xrmatrix import fusion
 from xrmatrix.fusion import (_twisted_basis, apply_chain,
                              fused_restriction)
 from xrmatrix.permutations import (Permutation, all_reduced_words,
                                    concat_tuples)
 from xrmatrix.superalgebra import coproduct_image
-from xrmatrix.tensorops import (Operator, SubspaceBasis, restrict,
-                                restrict_action)
+from xrmatrix.tensorops import (Operator, SubspaceBasis, residual,
+                                restrict, restrict_action)
 
 
 class TestHecke:
@@ -306,16 +307,17 @@ class TestFusedRMatrix:
 
 class TestFusedRep:
     def test_cartan_images_diagonal_in_pivot_basis(self, nf, ps):
-        rep = fused_local_rep(nf, 2, ps.u, ps.x, 1, verify_twist=False)
+        rep = fused_local_rep(nf, 2, ps.u, ps.x, 1)
         k1 = rep.image("K1")
         assert np.linalg.norm(k1 - np.diag(np.diag(k1))) < 1e-10
 
     def test_twist_consistency(self, nf, ps):
-        # raises internally if the u-scaling of the affine pair fails
-        rep = fused_local_rep(nf, 2, ps.u, ps.x, 1, verify_twist=True)
-        base = fused_local_rep(nf, 2, 1.0 + 0j, ps.x, 1, verify_twist=False)
-        assert np.allclose(rep.image("E0"), base.image("E0") / ps.u)
-        assert np.allclose(rep.image("F0"), base.image("F0") * ps.u)
+        # the affine pair scales with u: E0 by 1/u, F0 by u
+        rep = fused_local_rep(nf, 2, ps.u, ps.x, 1)
+        base = fused_local_rep(nf, 2, 1.0 + 0j, ps.x, 1)
+        for tag, scale in (("E0", 1 / ps.u), ("F0", ps.u)):
+            ref = base.image(tag) * scale
+            assert residual(rep.image(tag) - ref, [ref]) < 1e-9, tag
 
     def test_restriction_route_matches_coproduct_route(self, nf, ps):
         # the two-factor fused coproduct equals the restriction of the
@@ -324,10 +326,8 @@ class TestFusedRep:
         xs = nf.q ** n * ps.x
         sp1 = fused_space(nf, n, ps.x, sign)
         sp2 = fused_space(nf, n, xs, sign)
-        rep1 = fused_local_rep(nf, n, ps.u, ps.x, sign, space=sp1,
-                               verify_twist=False)
-        rep2 = fused_local_rep(nf, n, ps.v, xs, sign, space=sp2,
-                               verify_twist=False)
+        rep1 = fused_local_rep(nf, n, ps.u, ps.x, sign, space=sp1)
+        rep2 = fused_local_rep(nf, n, ps.v, xs, sign, space=sp2)
         gam = Permutation.reversal(n)
         prof = q_profile(nf, n, sign)
         big = tuple_rep(nf, concat_tuples(
@@ -343,11 +343,11 @@ class TestFusedRep:
     def test_relations_hold_on_fused_rep(self, nf, ps):
         from xrmatrix import check_relations
 
-        rep = fused_local_rep(nf, 2, ps.u, ps.x, 1, verify_twist=False)
+        rep = fused_local_rep(nf, 2, ps.u, ps.x, 1)
         assert check_relations(rep, tol=1e-9).passed
 
     def test_commutant_is_trivial(self, nf, ps):
-        rep = fused_local_rep(nf, 2, ps.u, ps.x, 1, verify_twist=False)
+        rep = fused_local_rep(nf, 2, ps.u, ps.x, 1)
         fam = [rep.image(t) for t in GENERATORS]
         assert commutant_dimension(fam) == 1
 
@@ -388,6 +388,21 @@ class TestFusedYBE:
                                 (u, v, xs), (u, w, ps.x), (v, w, xs)))
             assert report.details["restriction_residual"] == worst
             assert 0 < worst < 1e-9
+
+    def test_exact_single_leg_builds_three_spaces(self, ef, monkeypatch):
+        # the six factors need the spaces at x, q x and q^2 x only; the
+        # cache must find q x and q^2 x again though each build computes
+        # them anew as rational functions
+        built = []
+
+        def counting(fld, n, y, sign, sym=None):
+            built.append(y)
+            return fused_space(fld, n, y, sign, sym)
+
+        monkeypatch.setattr(fusion, "fused_space", counting)
+        report = check_fused_ybe(ef, 1, 1, ef.u, ef.v, ef.w, ef.x)
+        assert report.passed
+        assert built == [ef.x, ef.q * ef.x, ef.q_power(2) * ef.x]
 
     def test_wrong_shift_fails(self, nf, ps):
         report = check_fused_ybe(nf, 2, 1, ps.u, ps.v, ps.w, ps.x,
