@@ -8,7 +8,7 @@ import cmath
 import numpy as np
 
 from xrmatrix import (NumericField, check_dynamical_ybe, check_fused_ybe,
-                      fused_space, sample_params, single_weight_space)
+                      sample_params)
 from xrmatrix.dynamical import DynamicalRMatrix
 
 ps = sample_params(9)
@@ -31,21 +31,20 @@ print("integer shifts multiply the parameter by powers of q:",
 
 print()
 print("=" * 70)
-print("The dynamical YBE with the single weight -n")
+print("The dynamical YBE: the fused YBE at x = e^{a lambda}, shift n")
 print("=" * 70)
 report = check_dynamical_ybe(fld, 2, 1, ps.u, ps.v, ps.w, lam, a=a)
 print("dynamical YBE:", report.passed, f"({report.residual:.2e})")
 x_eff = cmath.exp(a * lam)
 twisted = check_fused_ybe(fld, 2, 1, ps.u, ps.v, ps.w, x_eff)
-print("identical to the twisted YBE residual, bit for bit:",
+print("the fused space has the single weight -n, so it is the twisted")
+print("fused YBE, bit for bit:",
       report.residual == twisted.residual)
 
 print()
 print("=" * 70)
 print("The weight normalization is pinned by a negative control")
 print("=" * 70)
-dim = fused_space(fld, 2, x_eff, 1).dim
-fake = check_dynamical_ybe(fld, 2, 1, ps.u, ps.v, ps.w, lam, a=a,
-                           weighted=single_weight_space(dim, -3.0))
+fake = check_dynamical_ybe(fld, 2, 1, ps.u, ps.v, ps.w, lam, a=a, weight=-3)
 print("with weight -(n+1) instead of -n it fails:", not fake.passed,
       f"({fake.residual:.2e})")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import sys
 
@@ -264,6 +265,16 @@ def main(argv=None) -> int:
                     and args.n > c.max_n):
                 parser.error(f"verify {args.level}: {c.name} needs "
                              f"--n <= {c.max_n}")
+    if (args.command in ("check-dynamical", "fusion-report")
+            or opts.get("level") == "fused") and args.n >= 2:
+        # the unnormalised fused R-matrix vanishes identically at u = v,
+        # which leaves both YBE sides at rounding noise
+        given = [k for k in "uvw" if opts.get(k) is not None]
+        for k1, k2 in itertools.combinations(given, 2):
+            if opts[k1] == opts[k2]:
+                parser.error(f"{args.command}: --{k1} equals --{k2}; the "
+                             f"fused R-matrix vanishes at {k1} = {k2} for "
+                             f"--n >= 2")
     if opts.get("backend") == "exact":
         given = [f"--{k}" for k in "quvwxy" if opts.get(k) is not None]
         if given:

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
 
-from .dynamical import check_dynamical_ybe, single_weight_space
+from .dynamical import check_dynamical_ybe
 from .fusion import (check_fused_intertwining, check_fused_ybe,
                      check_fusion_constant, check_hecke_relations,
-                     check_projector_commutation, fused_space)
+                     check_projector_commutation)
 from .reports import CheckReport
 from .rmatrix import (check_forms_equal, check_intertwining,
                       check_twisted_ybe, vector_builder, vector_rmatrix)
@@ -119,28 +119,11 @@ def _fused_ybe(f, p, cfg, tol, shift=None):
                            shift=shift)
 
 
-def _dynamical_lambda(f, p, cfg):
+def _dynamical_ybe(f, p, cfg, tol, weight=None):
     a = cmath.log(f.q)
-    return a, cmath.log(p.x) / a if cfg.lam is None else cfg.lam
-
-
-def _dynamical_ybe(f, p, cfg, tol):
-    a, lam = _dynamical_lambda(f, p, cfg)
-    dyn = check_dynamical_ybe(f, cfg.n, cfg.sign, p.u, p.v, p.w, lam, a=a,
-                              tol=tol)
-    twisted = check_fused_ybe(f, cfg.n, cfg.sign, p.u, p.v, p.w,
-                              cmath.exp(a * lam), tol=tol)
-    dyn.details["matches_twisted"] = (dyn.residual == twisted.residual)
-    dyn.passed = dyn.passed and dyn.details["matches_twisted"]
-    return dyn
-
-
-def _fake_weight(f, p, cfg, tol):
-    a, lam = _dynamical_lambda(f, p, cfg)
-    d = fused_space(f, cfg.n, cmath.exp(a * lam), cfg.sign).dim
-    return check_dynamical_ybe(
-        f, cfg.n, cfg.sign, p.u, p.v, p.w, lam, a=a, tol=tol,
-        weighted=single_weight_space(d, -(cfg.n + 1.0)))
+    lam = cmath.log(p.x) / a if cfg.lam is None else cfg.lam
+    return check_dynamical_ybe(f, cfg.n, cfg.sign, p.u, p.v, p.w, lam, a=a,
+                               tol=tol, weight=weight)
 
 
 def _projector(sign, f, p, cfg, tol, sabotage_shift=False):
@@ -180,7 +163,8 @@ CHECKS = (
           control=lambda f, p, cfg, tol: _fused_ybe(f, p, cfg, tol,
                                                     shift=cfg.n - 1)),
     Check("dynamical", "dynamical-ybe", 1e-8, False, False, _dynamical_ybe,
-          control=_fake_weight),
+          control=lambda f, p, cfg, tol: _dynamical_ybe(
+              f, p, cfg, tol, weight=-(cfg.n + 1))),
     # the two-construction cross-check runs alongside box-ybe, point by
     # point, and last under "all"
     Check("box-ybe", "r-forms-equal", 1e-12, True, True,

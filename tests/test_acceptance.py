@@ -18,9 +18,8 @@ from xrmatrix import (GENERATORS, ExactField, NumericField,
                       check_tensor_square, check_twisted_ybe,
                       commutant_dimension, fused_local_rep, fused_rmatrix,
                       fused_space, fusion_constant, q_profile, sample_params,
-                      single_weight_space, symmetrizer,
-                      tensor_square_restrictions, tuple_rep, vector_builder,
-                      vector_rep, vector_rmatrix)
+                      symmetrizer, tensor_square_restrictions, tuple_rep,
+                      vector_builder, vector_rep, vector_rmatrix)
 from xrmatrix.fusion import apply_chain
 from xrmatrix.permutations import Permutation, concat_tuples
 from xrmatrix.tensorops import SubspaceBasis, restrict_action
@@ -280,9 +279,8 @@ def test_11_dynamical_reduction():
         x_eff = cmath.exp(a * lam)
         twisted = check_fused_ybe(fld, 2, 1, ps.u, ps.v, ps.w, x_eff)
         ok = dyn.passed and dyn.residual == twisted.residual
-        dim = fused_space(fld, 2, x_eff, 1).dim
         control = check_dynamical_ybe(fld, 2, 1, ps.u, ps.v, ps.w, lam, a=a,
-                                      weighted=single_weight_space(dim, -3.0))
+                                      weight=-3)
         ok = ok and control.residual > 1e-3
     _report(11, "dynamical YBE reduction", ok and sw.elapsed < 30.0,
             f"residuals equal bitwise ({dyn.residual:.2e}), "

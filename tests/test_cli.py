@@ -130,18 +130,30 @@ def test_usage_error_is_exit_2(capsys, monkeypatch):
                  ["build-r", "--backend", "exact", "--x", "0.5,0.1"],
                  ["verify", "fusion", "--n", "4"],
                  ["verify", "all", "--n", "5"],
-                 ["verify", "fused-ybe", "--samples", "0"]):
+                 ["verify", "fused-ybe", "--samples", "0"],
+                 # the fused R-matrix vanishes at u = v for n >= 2
+                 ["check-ybe", "--level", "fused", "--u", "1", "--v", "1"],
+                 ["check-dynamical", "--n", "3", "--sign", "minus",
+                  "--u", "1", "--v", "1"],
+                 ["check-dynamical", "--v", "0.5,0.1", "--w", "0.5,0.1"],
+                 ["fusion-report", "--u", "1", "--v", "1,0"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2, argv
         assert "error:" in capsys.readouterr().err, argv
     assert ran == []
-    # the cap of projector-commutation binds only the levels that run it
+    # the cap of projector-commutation binds only the levels that run it,
+    # and u = v only the fused levels at n >= 2
     for argv in (["verify", "fusion", "--n", "3"],
                  ["verify", "fused-ybe", "--n", "5"],
-                 ["check-ybe", "--level", "fused", "--n", "5"]):
+                 ["check-ybe", "--level", "fused", "--n", "5"],
+                 ["check-ybe", "--u", "1", "--v", "1"],
+                 ["check-ybe", "--level", "fused", "--n", "1", "--u", "1",
+                  "--v", "1"],
+                 ["check-dynamical", "--u", "1", "--v", "1,0.1"]):
         assert main(argv) == 0, argv
-    assert ran == ["verify", "verify", "check-ybe"]
+    assert ran == ["verify", "verify", "check-ybe", "check-ybe", "check-ybe",
+                   "check-dynamical"]
 
 
 def test_zero_tolerance_is_honoured(capsys):
@@ -277,14 +289,27 @@ def test_io_error_is_exit_3():
 
 
 def test_check_dynamical(capsys):
-    code, out = run(capsys, "check-dynamical", "--q", "1.2,0.1",
-                    "--lambda", "0.4,0.2", "--n", "2", "--sign", "plus")
-    assert code == 0
-    blob = json.loads(out)
-    assert blob["pass"] is True
-    assert 0 <= blob["details"]["restriction_residual"] < 1e-9
-    assert blob["details"]["matches_twisted"] is True
-    assert blob["elapsed_ms"] > 0
+    for argv in (["--q", "1.2,0.1", "--lambda", "0.4,0.2", "--n", "2",
+                  "--sign", "plus"],
+                 [],
+                 ["--n", "3", "--sign", "minus", "--seed", "3"]):
+        code, out = run(capsys, "check-dynamical", *argv)
+        assert code == 0, argv
+        blob = json.loads(out)
+        assert blob["pass"] is True, argv
+        assert 0 <= blob["details"]["restriction_residual"] < 1e-9, argv
+        assert blob["elapsed_ms"] > 0, argv
+        # the dynamical YBE is the fused YBE at the q and x it ran at,
+        # bit for bit (the --k=re,im form takes a negative real part)
+        details, params = blob["details"], blob["params"]
+        point = [f"--{k}={params[k]['re']!r},{params[k]['im']!r}"
+                 for k in ("q", "x")]
+        code, out = run(capsys, "check-ybe", "--level", "fused",
+                        "--samples", "1", "--seed", str(blob["seed"]),
+                        "--n", str(details["n"]), "--sign",
+                        "plus" if details["sign"] == 1 else "minus", *point)
+        assert code == 0, argv
+        assert json.loads(out)["residual"] == blob["residual"], argv
 
 
 def test_fusion_report(capsys, tmp_path):

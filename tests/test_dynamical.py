@@ -3,11 +3,8 @@ import cmath
 import numpy as np
 import pytest
 
-from xrmatrix import (check_dynamical_ybe, check_fused_ybe, fused_rmatrix,
-                      fused_space, single_weight_space)
-from xrmatrix.dynamical import DynamicalRMatrix, WeightedSpace, \
-    weighted_middle_factor
-from xrmatrix.tensorops import Operator
+from xrmatrix import check_dynamical_ybe, check_fused_ybe, fused_rmatrix
+from xrmatrix.dynamical import DynamicalRMatrix
 
 
 @pytest.fixture(scope="module")
@@ -60,37 +57,24 @@ def test_residual_matches_twisted_bitwise(nf, ps, branch):
 
 def test_fake_weight_fails(nf, ps, branch):
     lam = complex(0.8, -0.4)
-    dim = fused_space(nf, 2, cmath.exp(branch * lam), 1).dim
     report = check_dynamical_ybe(nf, 2, 1, ps.u, ps.v, ps.w, lam, a=branch,
-                                 weighted=single_weight_space(dim, -3.0))
+                                 weight=-3)
     assert not report.passed
     assert report.residual > 1e-3
 
 
-def test_weight_blocks_must_partition():
-    with pytest.raises(ValueError):
-        WeightedSpace(dim=3, blocks=((-1.0, (0, 1)),))
-
-
-def test_multi_weight_middle_factor_assembly():
-    # toy stub: R(u, v, lam - mu) scales with the shifted argument, so
-    # the assembled operator must be block diagonal in the first leg
-    class Stub:
-        def build_shifted(self, u, v, lam, mu):
-            scale = complex(lam - mu)
-            return Operator(scale * np.arange(4).reshape(2, 2).astype(complex)
-                            + np.eye(2), (2,))
-
-    weighted = WeightedSpace(dim=3, blocks=((-1.0, (0, 2)), (2.0, (1,))))
-    lam = 0.5 + 0j
-    out = weighted_middle_factor(Stub(), weighted, 0, 0, lam)
-    sub_a = Stub().build_shifted(0, 0, lam, -1.0).mat
-    sub_b = Stub().build_shifted(0, 0, lam, 2.0).mat
-    expected = np.zeros((6, 6), dtype=complex)
-    expected[0:2, 0:2] = sub_a
-    expected[2:4, 2:4] = sub_b
-    expected[4:6, 4:6] = sub_a
-    assert np.allclose(out, expected)
+@pytest.mark.parametrize("n,sign", [(1, 1), (2, 1), (2, -1)])
+def test_fake_weight_is_the_fused_shift(nf, ps, branch, n, sign):
+    # weight -(n+1) moves the middle leg to q^(n+1) x: the fused YBE
+    # with shift n+1, which must fail
+    lam = complex(0.8, -0.4)
+    report = check_dynamical_ybe(nf, n, sign, ps.u, ps.v, ps.w, lam,
+                                 a=branch, weight=-(n + 1))
+    fused = check_fused_ybe(nf, n, sign, ps.u, ps.v, ps.w,
+                            cmath.exp(branch * lam), shift=n + 1)
+    assert report.residual == fused.residual
+    assert report.residual > 1e-3
+    assert not report.passed
 
 
 def test_branch_invariance_documented_pair(nf, ps):
@@ -101,22 +85,3 @@ def test_branch_invariance_documented_pair(nf, ps):
     r1 = DynamicalRMatrix(nf, 2, 1, a1).build(ps.u, ps.v, lam1)
     r2 = DynamicalRMatrix(nf, 2, 1, a2).build(ps.u, ps.v, lam2)
     assert np.allclose(r1.mat, r2.mat)
-
-
-def test_multi_weight_path_matches_genuine_weight(nf, ps, branch):
-    # two weight values whose deformations coincide, -2 and
-    # -2 + 2 pi i / a, send the check down the multi-weight path; it
-    # must then pass like the genuine single weight
-    lam = complex(0.8, -0.4)
-    dim = fused_space(nf, 2, cmath.exp(branch * lam), 1).dim
-    alias = -2.0 + 2j * cmath.pi / branch
-    weighted = WeightedSpace(dim=dim, blocks=(
-        (-2.0, tuple(range(0, dim, 2))), (alias, tuple(range(1, dim, 2)))))
-    report = check_dynamical_ybe(nf, 2, 1, ps.u, ps.v, ps.w, lam, a=branch,
-                                 weighted=weighted)
-    assert report.passed, report.residual
-    fake = WeightedSpace(dim=dim, blocks=(
-        (-2.0, tuple(range(0, dim, 2))), (-3.0, tuple(range(1, dim, 2)))))
-    report = check_dynamical_ybe(nf, 2, 1, ps.u, ps.v, ps.w, lam, a=branch,
-                                 weighted=fake)
-    assert not report.passed
