@@ -65,6 +65,24 @@ def _sample_count(text: str) -> int:
     return count
 
 
+# the complex-valued flags; a value with a negative real part starts
+# with "-", which argparse would read as the next option
+_COMPLEX_FLAGS = ("--q", "--u", "--v", "--w", "--x", "--y", "--lambda")
+
+
+def _attach_signed_values(argv) -> list:
+    """Rewrite "--q -0.8,0.2" as "--q=-0.8,0.2" for the complex flags, so
+    both forms parse alike; a following "--" option is left alone."""
+    out = []
+    for tok in argv:
+        if (out and out[-1] in _COMPLEX_FLAGS and tok.startswith("-")
+                and not tok.startswith("--")):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def _add_common(p, *names):
     for name in names:
         if name == "q":
@@ -257,7 +275,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_signed_values(sys.argv[1:] if argv is None else argv))
     opts = vars(args)
     if args.command == "verify":
         for c in CHECKS:

@@ -27,8 +27,8 @@ from .rmatrix import (RMatrixBuilder, _intertwining_report,
                       check_twisted_ybe, vector_rmatrix)
 from .superalgebra import _ALL_TAGS, LocalRep, ProductRep, tuple_rep
 from .tensorops import (Operator, SubspaceBasis, _is_exact, apply_at_legs,
-                        column_space, passes, residual, restrict,
-                        restrict_action)
+                        column_space, matmul, max_term_count, passes,
+                        residual, restrict, restrict_action)
 
 _MAX_SYMMETRIC_GROUP = 6
 
@@ -107,7 +107,8 @@ def check_hecke_relations(fld, n: int, x, tol: float = 1e-10) -> CheckReport:
 
     Every product applies a two-leg image to the embedded image of
     another generator (or to h + 1), so no dense n-leg product is
-    formed.
+    formed.  Exact reports carry details.max_terms, the largest term
+    count among the compared entries.
     """
     pair = hecke_generator_images(fld, n, x)
     legs = (4,) * n
@@ -120,28 +121,34 @@ def check_hecke_relations(fld, n: int, x, tol: float = 1e-10) -> CheckReport:
     q2 = fld.q_power(2)
     exact = fld.backend == "exact"
     worst = 0.0
+    terms = 0
     failed = []
 
-    def note(name, delta, operands):
-        nonlocal worst
-        dev = residual(delta, operands)
+    def note(name, lhs, rhs, operands):
+        nonlocal worst, terms
+        if exact:
+            terms = max(terms, max_term_count(lhs, rhs))
+        dev = residual(lhs - rhs, operands)
         if not passes(dev, exact, tol):
             failed.append(name)
         worst = max(worst, dev)
 
     for i, h in enumerate(hs):
         h_plus = h + eye
-        note(f"quadratic h_{i+1}", act(i, h_plus) - h_plus * q2, [h, h])
+        note(f"quadratic h_{i+1}", act(i, h_plus), h_plus * q2, [h, h])
         if i + 1 < len(hs):
             note(f"braid h_{i+1} h_{i+2}",
-                 act(i, act(i + 1, hs[i])) - act(i + 1, act(i, hs[i + 1])),
+                 act(i, act(i + 1, hs[i])), act(i + 1, act(i, hs[i + 1])),
                  [hs[i], hs[i + 1], hs[i]])
         for j in range(i + 2, len(hs)):
             note(f"commute h_{i+1} h_{j+1}",
-                 act(i, hs[j]) - act(j, hs[i]), [hs[i], hs[j]])
+                 act(i, hs[j]), act(j, hs[i]), [hs[i], hs[j]])
+    details = {"n": n, "failed": failed}
+    if exact:
+        details["max_terms"] = terms
     return CheckReport(name="hecke-relations", residual=worst,
                        passed=passes(worst, exact, tol),
-                       exact=exact, details={"n": n, "failed": failed})
+                       exact=exact, details=details)
 
 
 @dataclass(frozen=True)
@@ -189,7 +196,7 @@ def symmetrizer(fld, n: int, x, sign: int) -> Symmetrizer:
                        [h.mat, total])
         if not passes(dev, exact, GUARD_TOL):
             raise RuntimeError(f"symmetrizer eigen-relation fails at h_{i+1}")
-    dev = residual(total @ total - total * constant, [total, total])
+    dev = residual(matmul(total, total) - total * constant, [total, total])
     if not passes(dev, exact, GUARD_TOL):
         raise RuntimeError("symmetrizer square constant fails")
     op = Operator(total, legs)
@@ -395,7 +402,7 @@ def check_projector_commutation(fld, n: int, u, v, x, sign: int,
     lhs_side = apply_chain(fld, concat_tuples(gam.act(up), gam.act(vp)), x,
                            tau, doubled)
     rhs = chain_rmatrix(fld, concat_tuples(up, vp), x, tau)
-    delta = lhs_side - doubled @ rhs.mat
+    delta = lhs_side - matmul(doubled, rhs.mat)
     # the equality is between two products; normalize by one side
     res = residual(delta, [lhs_side])
     exact = fld.backend == "exact"

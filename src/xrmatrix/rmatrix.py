@@ -18,7 +18,8 @@ from .cartan import theta
 from .reports import CheckReport
 from .superalgebra import GENERATORS, tensor_square_bases, tuple_rep
 from .tensorops import (Operator, _is_exact, apply_at_legs, exact_inverse,
-                        passes, residual, shared_leg_product)
+                        matmul, max_term_count, passes, residual,
+                        shared_leg_product)
 
 
 def tensor_projectors(fld, x):
@@ -32,8 +33,8 @@ def tensor_projectors(fld, x):
             inv = np.linalg.solve(change, np.eye(16, dtype=np.complex128))
         except np.linalg.LinAlgError as err:
             raise ValueError(f"degenerate basis matrix: {err}") from err
-    p1 = change[:, :8] @ inv[:8, :]
-    p2 = change[:, 8:] @ inv[8:, :]
+    p1 = matmul(change[:, :8], inv[:8, :])
+    p2 = matmul(change[:, 8:], inv[8:, :])
     return Operator(p1, (4, 4)), Operator(p2, (4, 4))
 
 
@@ -96,7 +97,7 @@ def _intertwining_report(fld, name: str, rmat: np.ndarray, rep_uv, rep_vu,
     for tag in GENERATORS:
         a = rep_uv.image(tag)
         b = rep_vu.image(tag)
-        res = residual(rmat @ a - b @ rmat, [rmat, a])
+        res = residual(matmul(rmat, a) - matmul(b, rmat), [rmat, a])
         if res > worst or worst_gen is None:
             worst, worst_gen = max(worst, res), tag
     exact = fld.backend == "exact"
@@ -147,7 +148,7 @@ def _ybe_sides(mats):
     return lhs, rhs
 
 
-def ybe_residual(mats) -> float:
+def ybe_residual(mats, terms: list = None) -> float:
     """Relative residual of the twisted YBE for six prebuilt factors.
 
     mats = (R(v,w;x), R(u,w;x'), R(u,v;x), R(u,v;x'), R(u,w;x),
@@ -155,12 +156,17 @@ def ybe_residual(mats) -> float:
     contracted as lhs = A_12 (B_23 C_12) and rhs = D_23 (E_12 F_23): the
     inner pair shares one leg and costs d^7 multiply-adds
     (shared_leg_product), the outer factor costs d^8 (apply_at_legs), so
-    a side costs d^8 + d^7 and no d^3 x d^3 identity is formed.  The
+    a side costs d^8 + d^7 and no d^3 x d^3 identity is formed.  On the
+    exact backend both count only the products of two nonzero entries,
+    a small fraction of these bounds for the sparse vector R-matrix.  The
     residual is normalized by the composite sides being compared, which
     keeps the deliberate-failure controls well away from the pass
-    thresholds.
+    thresholds.  When terms is a list, the largest term count of the
+    two exact sides' entries (max_term_count) is appended to it.
     """
     lhs, delta = _ybe_sides(mats)
+    if terms is not None:
+        terms.append(max_term_count(lhs, delta))
     # in place: rhs - lhs needs no third d^3 x d^3 array
     delta -= lhs
     return residual(delta, [lhs])
@@ -184,9 +190,13 @@ def check_twisted_ybe(fld, builder: RMatrixBuilder, u, v, w, x,
                       tol: float = 1e-9, shift: int = None,
                       name: str = "twisted-ybe") -> CheckReport:
     mats = twisted_ybe_factors(fld, builder, u, v, w, x, shift)
-    res = ybe_residual(mats)
     exact = fld.backend == "exact"
+    terms = [] if exact else None
+    res = ybe_residual(mats, terms)
     passed = passes(res, exact, tol)
     used_shift = builder.shift_exponent if shift is None else shift
+    details = {"shift_exponent": used_shift}
+    if exact:
+        details["max_terms"] = terms[0]
     return CheckReport(name=name, residual=res, passed=passed, exact=exact,
-                       details={"shift_exponent": used_shift})
+                       details=details)

@@ -20,8 +20,9 @@ import numpy as np
 from .cartan import parity, root_pairing, theta, weight_pairing
 from .reports import CheckReport, scalar_to_json
 from .scalars import NumericField
-from .tensorops import (Operator, SubspaceBasis, matrix_rank, matrix_unit,
-                        passes, residual, restrict, restrict_action)
+from .tensorops import (Operator, SubspaceBasis, matmul, matrix_rank,
+                        matrix_unit, passes, residual, restrict,
+                        restrict_action)
 
 GENERATORS = ("s",) + tuple(f"K{i}" for i in range(4)) + \
     tuple(f"E{i}" for i in range(4)) + tuple(f"F{i}" for i in range(4))
@@ -36,8 +37,8 @@ FINITE_GENERATORS = ("s",) + tuple(
 
 def super_bracket(fld, a: np.ndarray, b: np.ndarray, pa: int, pb: int):
     """[a, b] = ab - (-1)^{pa pb} ba."""
-    ab = a @ b
-    ba = b @ a
+    ab = matmul(a, b)
+    ba = matmul(b, a)
     return ab + ba if (pa and pb) else ab - ba
 
 
@@ -121,11 +122,11 @@ def coproduct_image(tag: str, reps) -> np.ndarray:
         out = np.kron(head.image(tag), fld.eye(rest_dim))
         grouplike = head.image(f"K{i}")
         if parity(i):
-            grouplike = grouplike @ head.image("s")
+            grouplike = matmul(grouplike, head.image("s"))
         out = out + np.kron(grouplike, coproduct_image(tag, rest))
         if i == 0:
             coeff = fld.q - fld.one / fld.q
-            first = head.image("s") @ head.image("[E0,F2]") * coeff
+            first = matmul(head.image("s"), head.image("[E0,F2]")) * coeff
             out = out + np.kron(first, coproduct_image("E2", rest))
         return out
     if tag.startswith("F"):
@@ -199,27 +200,28 @@ def check_relations(rep, tol: float = 1e-10) -> CheckReport:
         worst = max(worst, r)
 
     s = rep.image("s")
-    note("s^2=1", s @ s - eye, [s, s])
+    note("s^2=1", matmul(s, s) - eye, [s, s])
     qdiff = fld.q - fld.one / fld.q
     for i in range(4):
         k, kinv = rep.image(f"K{i}"), rep.image(f"Kinv{i}")
         e, f = rep.image(f"E{i}"), rep.image(f"F{i}")
-        note(f"K{i} K{i}^-1=1", k @ kinv - eye, [k, kinv])
-        note(f"s K{i} s=K{i}", s @ k @ s - k, [s, k, s])
+        note(f"K{i} K{i}^-1=1", matmul(k, kinv) - eye, [k, kinv])
+        note(f"s K{i} s=K{i}", matmul(matmul(s, k), s) - k, [s, k, s])
         sgn = fld.from_int((-1) ** parity(i))
-        note(f"s E{i} s", s @ e @ s - e * sgn, [s, e, s])
-        note(f"s F{i} s", s @ f @ s - f * sgn, [s, f, s])
+        note(f"s E{i} s", matmul(matmul(s, e), s) - e * sgn, [s, e, s])
+        note(f"s F{i} s", matmul(matmul(s, f), s) - f * sgn, [s, f, s])
         for j in range(4):
             kj = rep.image(f"K{j}")
             if j > i:
-                note(f"K{i} K{j} commute", k @ kj - kj @ k, [k, kj])
+                note(f"K{i} K{j} commute", matmul(k, kj) - matmul(kj, k),
+                     [k, kj])
             ej, fj = rep.image(f"E{j}"), rep.image(f"F{j}")
             pair = root_pairing(i, j)
             note(f"K{i} E{j} K{i}^-1",
-                 k @ ej @ kinv - ej * fld.q_power(pair),
+                 matmul(matmul(k, ej), kinv) - ej * fld.q_power(pair),
                  [k, ej, kinv])
             note(f"K{i} F{j} K{i}^-1",
-                 k @ fj @ kinv - fj * fld.q_power(-pair),
+                 matmul(matmul(k, fj), kinv) - fj * fld.q_power(-pair),
                  [k, fj, kinv])
             if (i, j) in ((2, 0), (0, 2)):
                 continue
@@ -231,7 +233,7 @@ def check_relations(rep, tol: float = 1e-10) -> CheckReport:
     central_scalars = []
     for name, kf, ea, fb in (("K2[E2,F0]", "K2", "E2", "F0"),
                              ("K2^-1[E0,F2]", "Kinv2", "E0", "F2")):
-        c = rep.image(kf) @ rep.image(f"[{ea},{fb}]")
+        c = matmul(rep.image(kf), rep.image(f"[{ea},{fb}]"))
         scalar = c[0, 0]
         central_scalars.append(scalar_to_json(scalar))
         # normalize against the factors that built c: the central image
@@ -241,7 +243,7 @@ def check_relations(rep, tol: float = 1e-10) -> CheckReport:
              built_from if not exact else [])
         for g in GENERATORS:
             gi = rep.image(g)
-            note(f"{name} commutes with {g}", c @ gi - gi @ c,
+            note(f"{name} commutes with {g}", matmul(c, gi) - matmul(gi, c),
                  built_from + [gi] if not exact else [])
 
     return CheckReport(
@@ -305,7 +307,7 @@ def check_tensor_square(fld, x, y, tol: float = 1e-10) -> CheckReport:
         m = coproduct_image(tag, reps)
         for k, basis in enumerate((basis1, basis2)):
             try:
-                _, r = restrict_action((basis,), m @ basis.columns,
+                _, r = restrict_action((basis,), matmul(m, basis.columns),
                                        tol=math.inf)
             except ValueError:
                 # the exact solve is inconsistent: not invariant

@@ -156,6 +156,57 @@ def test_usage_error_is_exit_2(capsys, monkeypatch):
                    "check-dynamical"]
 
 
+def _masked(out):
+    return [{k: v for k, v in json.loads(line).items() if k != "elapsed_ms"}
+            for line in out.splitlines()]
+
+
+def test_negative_complex_values_parse_in_both_forms(capsys):
+    # a sampled point with a negative real part pastes back either way
+    for flags in ((("--q", "-0.8,0.2"), ("--x", "-0.4,-0.3")),
+                  (("--u", "-1.1,0.3"), ("--v", "0.9,-0.2"),
+                   ("--w", "-0.6,-0.7")),
+                  (("--lambda", "-0.4,0.2"),)):
+        command = ("check-dynamical" if flags[0][0] == "--lambda"
+                   else "check-relations" if flags[0][0] == "--q"
+                   else "check-ybe")
+        spaced = [tok for flag in flags for tok in flag]
+        joined = [f"{flag}={value}" for flag, value in flags]
+        code1, out1 = run(capsys, command, *spaced)
+        code2, out2 = run(capsys, command, *joined)
+        assert code1 == code2 == 0, flags
+        assert _masked(out1) == _masked(out2), flags
+    _, out = run(capsys, "check-lemma1", "--y", "-1.3,0.2", "--x", "0.4,0.1")
+    assert json.loads(out)["params"]["y"] == {"re": -1.3, "im": 0.2}
+
+
+def test_malformed_negative_value_is_usage_error(capsys):
+    for argv in (["check-relations", "--q", "-abc"],
+                 ["check-ybe", "--u", "-1,2,3"],
+                 ["check-relations", "--q", "--x", "0.4,0.3"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
+        assert "argument --" in capsys.readouterr().err, argv
+
+
+def test_exact_reports_carry_term_counts(capsys):
+    code, out = run(capsys, "verify", "box-ybe", "--backend", "exact")
+    assert code == 0
+    box, = [r for r in map(json.loads, out.splitlines())
+            if r["check"] == "box-ybe"]
+    terms = box["details"]["max_terms"]
+    assert isinstance(terms, int) and terms > 0
+    code, out = run(capsys, "verify", "hecke", "--backend", "exact")
+    assert code == 0
+    assert all(r["details"]["max_terms"] > 0
+               for r in map(json.loads, out.splitlines()))
+    # numeric reports carry no term count
+    _, out = run(capsys, "verify", "hecke", "--samples", "1")
+    assert all("max_terms" not in r["details"]
+               for r in map(json.loads, out.splitlines()))
+
+
 def test_zero_tolerance_is_honoured(capsys):
     # a float residual is never below 0, so the check must fail
     for argv in (["check-ybe", "--tol", "0", "--samples", "1"],

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from xrmatrix import (Operator, apply_at_legs, column_space,
-                      commutant_dimension, exact_inverse, exact_solve,
-                      identity, kron, matrix_unit, restrict, restrict_action,
-                      shared_leg_product)
+from xrmatrix import (Operator, RationalFunction, apply_at_legs,
+                      column_space, commutant_dimension, exact_inverse,
+                      exact_solve, identity, kron, matmul, matrix_unit,
+                      restrict, restrict_action, shared_leg_product,
+                      vector_rmatrix)
+from xrmatrix import tensorops
 from xrmatrix.tensorops import SubspaceBasis, exact_all_zero
 
 
@@ -332,3 +334,157 @@ def test_exact_restrict(ef):
     assert out.mat[0, 1].is_zero
     delta = np.dot(mat, basis.columns) - np.dot(basis.columns, out.mat)
     assert exact_all_zero(delta)
+
+
+# ---------------------------------------------------------------------------
+# matmul: the one product of both backends
+
+def _terms(mat):
+    """Each entry's num and den term dicts, in flat order."""
+    return [(s.num.terms, s.den.terms) for s in mat.flat]
+
+
+def _assert_same_terms(out, ref):
+    assert out.dtype == object and out.shape == ref.shape
+    assert _terms(out) == _terms(ref)
+
+
+def _sparse_exact(ef, rng, shape, density=0.3):
+    """Random exact entries, mostly zero; x and -x let sums cancel."""
+    gens = [ef.q, ef.x, -ef.x, ef.u - ef.v, ef.one / (ef.q - ef.one),
+            ef.q * ef.w + ef.one, ef.from_int(-2)]
+    out = ef.zeros(shape)
+    for idx in np.ndindex(*shape):
+        if rng.random() < density:
+            out[idx] = gens[rng.integers(len(gens))] * ef.from_int(
+                int(rng.integers(1, 4)))
+    return out
+
+
+def _object_matmul_reference(monkeypatch, fn, *args):
+    """fn evaluated with the object np.matmul in place of matmul."""
+    with monkeypatch.context() as m:
+        m.setattr(tensorops, "matmul", np.matmul)
+        return fn(*args)
+
+
+def test_exact_matmul_is_object_matmul_term_for_term(ef):
+    rng = np.random.default_rng(5)
+    for ashape, bshape in (((3, 4), (4, 5)), ((5, 5), (5, 5)),
+                           ((2, 1, 3, 4), (5, 4, 2)), ((4, 6), (3, 6, 2))):
+        for density in (0.2, 0.6, 1.0):
+            a = _sparse_exact(ef, rng, ashape, density)
+            b = _sparse_exact(ef, rng, bshape, density)
+            _assert_same_terms(matmul(a, b), np.matmul(a, b))
+    with pytest.raises(ValueError, match="inner dimensions"):
+        matmul(ef.zeros((2, 3)), ef.zeros((2, 3)))
+
+
+def test_exact_matmul_edge_cases(ef):
+    rng = np.random.default_rng(6)
+    a = _sparse_exact(ef, rng, (6, 6), 0.5)
+    zero = ef.zeros((6, 4))
+    out = matmul(a, zero)
+    _assert_same_terms(out, np.matmul(a, zero))
+    assert exact_all_zero(out)
+    # a zero column of the left factor drops that inner index entirely
+    a[:, 2] = ef.zero
+    b = _sparse_exact(ef, rng, (6, 4), 0.8)
+    _assert_same_terms(matmul(a, b), np.matmul(a, b))
+
+
+def test_exact_apply_at_legs_is_object_matmul_term_for_term(ef, monkeypatch):
+    rng = np.random.default_rng(7)
+    r = vector_rmatrix(ef, ef.u, ef.v, ef.x)
+    for nlegs in (3, 4):
+        legs = (4,) * nlegs
+        block = _sparse_exact(ef, rng, (4 ** nlegs, 3), 0.3)
+        for pos in range(1, nlegs):
+            ref = _object_matmul_reference(monkeypatch, apply_at_legs, r, pos,
+                                           legs, block)
+            _assert_same_terms(apply_at_legs(r, pos, legs, block), ref)
+    # an all-zero block, and an operator with a zero column
+    legs = (4, 4, 4)
+    zero = ef.zeros((64, 5))
+    out = apply_at_legs(r, 2, legs, zero)
+    assert exact_all_zero(out)
+    _assert_same_terms(out, _object_matmul_reference(
+        monkeypatch, apply_at_legs, r, 2, legs, zero))
+    holed = r.mat.copy()
+    holed[:, 1] = ef.zero
+    op = Operator(holed, (4, 4))
+    block = _sparse_exact(ef, rng, (64, 5), 0.5)
+    _assert_same_terms(apply_at_legs(op, 1, legs, block),
+                       _object_matmul_reference(monkeypatch, apply_at_legs,
+                                                op, 1, legs, block))
+
+
+def test_exact_stage_block_is_object_matmul_term_for_term(ef, monkeypatch):
+    # the shape of a fused_restriction stage: S_p on legs (4, d), applied
+    # to a state with more rows than columns
+    rng = np.random.default_rng(8)
+    d = 3
+    stage = Operator(_sparse_exact(ef, rng, (4 * d, 4 * d), 0.4), (4, d))
+    legs = (4, 4, d)
+    state = _sparse_exact(ef, rng, (4 * 4 * d, 5), 0.4)
+    _assert_same_terms(apply_at_legs(stage, 2, legs, state),
+                       _object_matmul_reference(monkeypatch, apply_at_legs,
+                                                stage, 2, legs, state))
+
+
+def test_exact_shared_leg_product_is_object_matmul_term_for_term(
+        ef, monkeypatch):
+    r1 = vector_rmatrix(ef, ef.u, ef.v, ef.x)
+    r2 = vector_rmatrix(ef, ef.v, ef.w, ef.q * ef.x)
+    for pos in (1, 2):
+        ref = _object_matmul_reference(monkeypatch, shared_leg_product, r1,
+                                       pos, r2)
+        _assert_same_terms(shared_leg_product(r1, pos, r2), ref)
+
+
+def test_exact_apply_at_legs_forms_no_zero_product(ef, monkeypatch):
+    r = vector_rmatrix(ef, ef.u, ef.v, ef.x)
+    block = _sparse_exact(ef, np.random.default_rng(9), (64, 4), 0.3)
+    counts = {"all": 0, "zero": 0}
+    mul = RationalFunction.__mul__
+
+    def counted(a, b):
+        counts["all"] += 1
+        counts["zero"] += a.is_zero or b.is_zero
+        return mul(a, b)
+
+    monkeypatch.setattr(RationalFunction, "__mul__", counted)
+    apply_at_legs(r, 2, (4, 4, 4), block)
+    assert counts["all"] > 0
+    assert counts["zero"] == 0
+
+
+def test_numeric_matmul_is_np_matmul_bitwise(nf, monkeypatch):
+    rng = np.random.default_rng(10)
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    for ashape, bshape in (((3, 4), (4, 5)), ((2, 1, 3, 4), (5, 4, 2)),
+                           ((16, 16), (4, 16, 12))):
+        a, b = cplx(*ashape), cplx(*bshape)
+        out = matmul(a, b)
+        assert out.dtype == np.complex128
+        assert np.array_equal(out, np.matmul(a, b))
+    r = Operator(cplx(16, 16), (4, 4))
+    block = cplx(64, 7)
+    for pos in (1, 2):
+        ref = _object_matmul_reference(monkeypatch, apply_at_legs, r, pos,
+                                       (4, 4, 4), block)
+        assert np.array_equal(apply_at_legs(r, pos, (4, 4, 4), block), ref)
+
+
+def test_changing_one_operator_entry_changes_the_product(ef):
+    r = vector_rmatrix(ef, ef.u, ef.v, ef.x)
+    block = _sparse_exact(ef, np.random.default_rng(11), (64, 4), 0.5)
+    out = apply_at_legs(r, 1, (4, 4, 4), block)
+    bent = r.mat.copy()
+    bent[5, 5] = bent[5, 5] + ef.one
+    changed = apply_at_legs(Operator(bent, (4, 4)), 1, (4, 4, 4), block)
+    assert not exact_all_zero(changed - out)
+    assert not exact_all_zero(matmul(bent, r.mat) - matmul(r.mat, r.mat))
