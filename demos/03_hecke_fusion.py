@@ -63,7 +63,7 @@ print("with shift q^1 instead it fails:", not bad.passed,
 if "--three-legs" in sys.argv:
     print()
     print("=" * 70)
-    print("Three legs: 12-dimensional fused spaces, 1728^2 products")
+    print("Three legs: 12-dimensional fused spaces, YBE in 58 weight sectors")
     print("=" * 70)
     for sign in (1, -1):
         t0 = time.perf_counter()

@@ -33,7 +33,6 @@ from .superalgebra import (GENERATORS, ClassicalLimit, LocalRep, ProductRep,
 from .tensorops import (Operator, SubspaceBasis, apply_at_legs, column_space,
                         commutant_dimension, exact_inverse, exact_solve,
                         identity, kron, matmul, matrix_rank, matrix_unit,
-                        residual, restrict, restrict_action,
-                        shared_leg_product)
+                        residual, restrict, restrict_action)
 
 __version__ = "0.1.0"

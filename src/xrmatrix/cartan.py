@@ -86,6 +86,18 @@ def weight_pairing(i: int, j: int) -> int:
     return int(val)
 
 
+@functools.cache
+def vector_weights() -> tuple:
+    """The joint (K_1, K_3) weight of e_1, ..., e_4: the exponent pairs
+    (weight_pairing(1, j), weight_pairing(3, j)).
+
+    The x-terms take e_1 (x) e_2 and e_2 (x) e_1 to e_3 (x) e_4 and
+    e_4 (x) e_3, of the same joint weight, so the R-matrices conserve it.
+    """
+    return tuple((weight_pairing(1, j), weight_pairing(3, j))
+                 for j in range(1, 5))
+
+
 def cartan_matrix() -> list:
     """a_ij = 2(alpha_i,alpha_j) / ((alpha_i,alpha_i) + 2 p(alpha_i))."""
     out = []

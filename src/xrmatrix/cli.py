@@ -21,9 +21,10 @@ from .scalars import ExactField, NumericField
 from .suite import CHECKS, LEVELS, SuiteConfig, run_suite
 
 
-# fused levels above 5 do not fit in memory: at n = 6 one d^3 x d^3
-# complex YBE array (d = 24) takes 3 GB, at n = 5 (d = 20) 1 GB.  Rows
-# of the check table with a lower max_n lower it further.
+# fused levels above 5 do not fit in memory: a fused restriction carries
+# a state of 4^n d rows and d^2 columns, 0.9 GB of complex entries at
+# n = 6 (d = 24), 131 MB at n = 5 (d = 20).  Rows of the check table
+# with a lower max_n lower it further.
 _MAX_N = 5
 
 

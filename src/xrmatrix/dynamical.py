@@ -64,5 +64,7 @@ def check_dynamical_ybe(fld, n: int, sign: int, u, v, w, lam: complex,
                  "lambda": {"re": complex(lam).real, "im": complex(lam).imag},
                  "branch_a": {"re": complex(a).real, "im": complex(a).imag},
                  "restriction_residual":
-                     report.details["restriction_residual"]},
+                     report.details["restriction_residual"],
+                 "sectors": report.details["sectors"],
+                 "off_sector": report.details["off_sector"]},
     )

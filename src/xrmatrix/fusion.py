@@ -21,14 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cartan import vector_weights
 from .permutations import Permutation, concat_tuples
 from .reports import CheckReport, scalar_to_json
 from .rmatrix import (RMatrixBuilder, _intertwining_report,
                       check_twisted_ybe, vector_rmatrix)
 from .superalgebra import _ALL_TAGS, LocalRep, ProductRep, tuple_rep
 from .tensorops import (Operator, SubspaceBasis, _is_exact, apply_at_legs,
-                        column_space, matmul, max_term_count, passes,
-                        residual, restrict, restrict_action)
+                        column_space, column_weights, matmul,
+                        max_term_count, passes, residual, restrict,
+                        restrict_action)
 
 _MAX_SYMMETRIC_GROUP = 6
 
@@ -260,12 +262,14 @@ def check_fusion_constant(fld, n: int, x, sign: int, u_probes, x_probes,
 
 @dataclass(frozen=True)
 class FusedSpace:
-    """Image of the normalized symmetrizer inside the n-fold tensor space."""
+    """Image of the normalized symmetrizer inside the n-fold tensor space,
+    with the (K_1, K_3) weight of each basis vector."""
 
     sign: int
     n: int
     x: object
     basis: SubspaceBasis
+    weights: tuple
 
     @property
     def dim(self) -> int:
@@ -279,7 +283,10 @@ def fused_space(fld, n: int, x, sign: int,
     basis = column_space(sym.normalized.mat)
     if basis.dim == 0:
         raise RuntimeError("symmetrizer image is zero")
-    return FusedSpace(sign=sign, n=n, x=x, basis=basis)
+    # the symmetrizer conserves the weight, so each of its columns is
+    # supported on the states of a single weight
+    weights = column_weights(basis.columns, (vector_weights(),) * n)
+    return FusedSpace(sign=sign, n=n, x=x, basis=basis, weights=weights)
 
 
 def _twisted_basis(fld, basis: SubspaceBasis, lam, n: int) -> SubspaceBasis:
@@ -289,7 +296,8 @@ def _twisted_basis(fld, basis: SubspaceBasis, lam, n: int) -> SubspaceBasis:
     and e_2 (x) e_1 to e_3 (x) e_4 and e_4 (x) e_3, so conjugating by
     D (x) D, D = diag(1, 1, 1, lam), turns R(u, v; x) into R(u, v; lam x).
     The Hecke images and the symmetrizer at lam x are then those at x
-    conjugated by D^(x)n, and D^(x)n B spans the fused space at lam x.
+    conjugated by D^(x)n, and D^(x)n B spans the fused space at lam x;
+    being diagonal, it keeps the support, so the weights, of B's columns.
     """
     d = np.diagonal(fld.eye(4)).copy()
     d[3] = lam
@@ -346,7 +354,8 @@ def fused_restriction(fld, n: int, u, v, x, sign: int, spaces=None):
     # block 1, now on the last n legs, lies in the fused space at q^n x
     small, rel = restrict_action((SubspaceBasis(fld.eye(sp1.dim)), sp2.basis),
                                  state)
-    return Operator(small, (sp1.dim, sp2.dim)), max(worst, rel)
+    return (Operator(small, (sp1.dim, sp2.dim), (sp1.weights, sp2.weights)),
+            max(worst, rel))
 
 
 def fused_rmatrix(fld, n: int, u, v, x, sign: int, spaces=None) -> Operator:

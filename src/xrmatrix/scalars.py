@@ -267,6 +267,8 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if other.is_zero:
+            return self
         return self + (-other)
 
     def __rsub__(self, other):

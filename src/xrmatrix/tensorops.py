@@ -11,8 +11,14 @@ forms only the products of two nonzero entries and sums them in the
 order np.matmul would, so each exact entry comes out as the same
 unreduced rational function.  A two-leg operator acts on a tensor
 product through apply_at_legs, which never forms the identity-padded
-embedding; the product of two two-leg operators that overlap on three
-legs comes from shared_leg_product.
+embedding.
+
+An operator may carry the weight of each basis vector of each leg.  The
+R-matrices conserve the total weight, so on three legs they are block
+diagonal over the weight sectors, and the YBE sides are contracted one
+sector at a time (rmatrix.ybe_residual); product_weights gives the
+weight of every basis state of a tensor product, and column_weights that
+of each column of a weight-homogeneous basis.
 """
 
 from __future__ import annotations
@@ -121,10 +127,16 @@ def passes(res: float, exact: bool, tol: float) -> bool:
 
 @dataclass(frozen=True)
 class Operator:
-    """Square matrix acting on an ordered tensor product of legs."""
+    """Square matrix acting on an ordered tensor product of legs.
+
+    weights, when given, holds for each leg the weight of each of its
+    basis vectors, a tuple of ints; None leaves the operator ungraded,
+    all of its basis states of one weight.
+    """
 
     mat: np.ndarray
     legs: tuple
+    weights: tuple = None
 
     def __post_init__(self):
         n = int(np.prod(self.legs)) if self.legs else 1
@@ -132,6 +144,9 @@ class Operator:
             raise ValueError(
                 f"matrix shape {self.mat.shape} does not match legs {self.legs}"
             )
+        if (self.weights is not None
+                and tuple(map(len, self.weights)) != tuple(self.legs)):
+            raise ValueError(f"weights do not match legs {self.legs}")
 
     @property
     def dim(self) -> int:
@@ -143,7 +158,7 @@ class Operator:
         return Operator(matmul(self.mat, other.mat), self.legs)
 
     def scaled(self, s) -> "Operator":
-        return Operator(self.mat * s, self.legs)
+        return Operator(self.mat * s, self.legs, self.weights)
 
 
 @dataclass(frozen=True)
@@ -213,40 +228,35 @@ def apply_at_legs(op: Operator, pos: int, legs,
     return out.reshape(block.shape)
 
 
-def shared_leg_product(first: Operator, pos: int,
-                       second: Operator) -> np.ndarray:
-    """The three-leg matrix of first on legs (pos, pos+1) times second on
-    the other two legs: X_12 Y_23 for pos 1, X_23 Y_12 for pos 2.
+def product_weights(leg_weights) -> np.ndarray:
+    """The weight of each basis state of a tensor product of legs, one row
+    per state in flat order: the sum of the weights of its legs' basis
+    vectors."""
+    out = np.zeros((1, 1), dtype=int)
+    for w in leg_weights:
+        out = out[:, None] + np.asarray(w, dtype=int)[None]
+        out = out.reshape(-1, out.shape[-1])
+    return out
 
-    The two factors share only the middle leg, so the product is one
-    broadcast matmul over that leg, d1 d2 d3 * d1 d2 d3 * d2
-    multiply-adds (d^7 for equal legs) against d^8 for applying both
-    factors to an identity; on object arrays only the products of two
-    nonzero entries are formed.  The operands are viewed so that the
-    result comes out in the big-endian layout with no transpose of the
-    d^3 x d^3 array, on complex and object arrays alike.
+
+def column_weights(columns: np.ndarray, leg_weights) -> tuple:
+    """The weight of each column of a basis of a subspace of a tensor
+    product, read off the column's support: every nonzero entry must sit
+    on a basis state of one and the same weight.
+
+    Raises ValueError naming the first column that is not
+    weight-homogeneous.
     """
-    if pos == 1:
-        (d1, d2), (shared, d3) = first.legs, second.legs
-    elif pos == 2:
-        (d2, d3), (d1, shared) = first.legs, second.legs
-    else:
-        raise ValueError(f"position {pos} out of range for 3 legs")
-    if shared != d2:
-        raise ValueError(
-            f"operator legs {first.legs} and {second.legs} do not share "
-            f"the middle leg at position {pos}"
-        )
-    n = d1 * d2 * d3
-    if pos == 1:
-        # out[i1 i2, i3, k1, k2 k3] = sum_m X[i1 i2, k1, m] Y[i3, m, k2 k3]
-        x = first.mat.reshape(d1 * d2, 1, d1, d2)
-        y = second.mat.reshape(d2, d3, d2 * d3).transpose(1, 0, 2)
-    else:
-        # out[i1, i2 i3, k1 k2, k3] = sum_m Y[i1, k1 k2, m] X[i2 i3, m, k3]
-        x = second.mat.reshape(d1, d2, d1 * d2).transpose(0, 2, 1)[:, None]
-        y = first.mat.reshape(d2 * d3, d2, d3)
-    return matmul(x, y).reshape(n, n)
+    states = product_weights(leg_weights)
+    support = columns != 0
+    out = []
+    for j in range(columns.shape[1]):
+        found = {tuple(w) for w in states[support[:, j]].tolist()}
+        if len(found) != 1:
+            raise ValueError(f"basis column {j} is not weight-homogeneous: "
+                             f"its support has weights {sorted(found)}")
+        out.append(found.pop())
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

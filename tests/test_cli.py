@@ -207,6 +207,31 @@ def test_exact_reports_carry_term_counts(capsys):
                for r in map(json.loads, out.splitlines()))
 
 
+def test_ybe_reports_carry_sectors(capsys):
+    # the joint (K_1, K_3) weight sectors of three legs: 16 of at most 9
+    # states for the vector legs, 37 of at most 56 for fused n = 2
+    want = {"box-ybe": {"count": 16, "largest": 9},
+            "fused-ybe": {"count": 37, "largest": 56},
+            "dynamical-ybe": {"count": 37, "largest": 56}}
+    for level in ("box-ybe", "fused-ybe", "dynamical"):
+        code, out = run(capsys, "verify", level, "--samples", "1",
+                        "--negative-controls")
+        assert code == 0, level
+        reports = [r for r in map(json.loads, out.splitlines())
+                   if r["check"].removeprefix("negative:").split("-shift")[0]
+                   in want]
+        assert len(reports) == 2, level
+        for r in reports:
+            name = r["check"].removeprefix("negative:").split("-shift")[0]
+            assert r["details"]["sectors"] == want[name], r["check"]
+            assert 0 <= r["details"]["off_sector"] < 1e-12, r["check"]
+    _, out = run(capsys, "verify", "box-ybe", "--backend", "exact")
+    box, = [r for r in map(json.loads, out.splitlines())
+            if r["check"] == "box-ybe"]
+    assert box["details"]["sectors"] == want["box-ybe"]
+    assert "off_sector" not in box["details"]
+
+
 def test_zero_tolerance_is_honoured(capsys):
     # a float residual is never below 0, so the check must fail
     for argv in (["check-ybe", "--tol", "0", "--samples", "1"],

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from xrmatrix import (NumericField, Operator, check_forms_equal,
-                      check_intertwining, check_twisted_ybe, sample_params,
+from xrmatrix import (NumericField, Operator, check_dynamical_ybe,
+                      check_forms_equal, check_fused_ybe, check_intertwining,
+                      check_twisted_ybe, fused_builder, sample_params,
                       tensor_projectors, tuple_rep, vector_builder,
                       vector_rmatrix, vector_rmatrix_spectral, ybe_residual)
-from xrmatrix.rmatrix import _ybe_sides, twisted_ybe_factors
-from xrmatrix.tensorops import exact_all_zero
+from xrmatrix.rmatrix import _sector_sides, twisted_ybe_factors
+from xrmatrix.tensorops import exact_all_zero, passes, product_weights
 
 
 def _flat(i, j):
@@ -14,11 +15,38 @@ def _flat(i, j):
 
 
 def _kron_sides(mats, eye):
-    """Reference: both YBE sides as products of explicit kron embeddings."""
+    """Reference: both YBE sides as products of explicit kron embeddings,
+    grouped as A (B C) and D (E F)."""
     a, b, c, d, e, f = (m.mat for m in mats)
     at12 = lambda m: np.kron(m, eye)
     at23 = lambda m: np.kron(eye, m)
-    return at12(a) @ at23(b) @ at12(c), at23(d) @ at12(e) @ at23(f)
+    return at12(a) @ (at23(b) @ at12(c)), at23(d) @ (at12(e) @ at23(f))
+
+
+def _assembled_sides(mats, zeros):
+    """The sector sides placed in two dense d^3 x d^3 arrays, after
+    checking that every basis state lies in exactly one sector."""
+    n = mats[0].dim * mats[1].legs[1]
+    lhs, rhs = zeros((n, n)), zeros((n, n))
+    seen = []
+    for states, lhs_s, rhs_s in _sector_sides(mats):
+        lhs[np.ix_(states, states)] = lhs_s
+        rhs[np.ix_(states, states)] = rhs_s
+        seen += states.tolist()
+    assert sorted(seen) == list(range(n))
+    return lhs, rhs
+
+
+def _terms(mat):
+    """Each entry's num and den term dicts, in flat order."""
+    return [(s.num.terms, s.den.terms) for s in mat.flat]
+
+
+def _off_sector_entry(op):
+    """The first (row, column) of op that changes the total weight."""
+    pair = product_weights(op.weights)
+    off = np.argwhere((pair[:, None] != pair[None]).any(axis=-1))
+    return tuple(off[0])
 
 
 def _basis_vec(i, j):
@@ -187,7 +215,10 @@ class TestVectorYBE:
                          + 1j * rng.normal(size=(9, 9)), (3, 3))
                 for _ in range(6)]
         refs = _kron_sides(mats, np.eye(3))
-        for out, ref in zip(_ybe_sides(mats), refs):
+        # ungraded factors: one sector holding every state in order
+        (states, *sides), = _sector_sides(mats)
+        assert states.tolist() == list(range(27))
+        for out, ref in zip(sides, refs):
             assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
         lhs, rhs = refs
         expected = np.linalg.norm(rhs - lhs) / np.linalg.norm(lhs)
@@ -198,7 +229,9 @@ class TestVectorYBE:
             for (i, j), k in np.ndenumerate(ints):
                 m[i, j] = ef.from_int(int(k))
             exact.append(Operator(m, (3, 3)))
-        for out, ref in zip(_ybe_sides(exact), _kron_sides(exact, ef.eye(3))):
+        (states, *sides), = _sector_sides(exact)
+        assert states.tolist() == list(range(27))
+        for out, ref in zip(sides, _kron_sides(exact, ef.eye(3))):
             assert out.dtype == object
             assert exact_all_zero(out - ref)
 
@@ -214,3 +247,92 @@ class TestVectorYBE:
                                          ef.w, ef.x))
         exact[0], exact[2] = exact[2], exact[0]
         assert ybe_residual(exact) == float("inf")
+
+
+class TestSectorSides:
+    @pytest.mark.parametrize("seed", (0, 1))
+    @pytest.mark.parametrize("sign", (1, -1))
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_fused_sides_match_kron_embedded_products(self, n, sign, seed):
+        ps = sample_params(seed)
+        fld = NumericField(ps.q)
+        mats = twisted_ybe_factors(fld, fused_builder(fld, n, sign, []),
+                                   ps.u, ps.v, ps.w, ps.x)
+        outs = _assembled_sides(mats, lambda shape: np.zeros(shape, complex))
+        for out, ref in zip(outs, _kron_sides(mats, np.eye(mats[0].legs[0]))):
+            assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_exact_box_sides_match_kron_term_for_term(self, ef):
+        mats = twisted_ybe_factors(ef, vector_builder(ef), ef.u, ef.v, ef.w,
+                                   ef.x)
+        for out, ref in zip(_assembled_sides(mats, ef.zeros),
+                            _kron_sides(mats, ef.eye(4))):
+            assert _terms(out) == _terms(ref)
+        report = check_twisted_ybe(ef, vector_builder(ef), ef.u, ef.v, ef.w,
+                                   ef.x)
+        assert report.residual == 0.0
+        assert report.details["max_terms"] == 19
+        assert report.details["sectors"] == {"count": 16, "largest": 9}
+        assert "off_sector" not in report.details
+
+    def test_shift_controls_match_dense_route(self):
+        # residuals of the deliberate failures as the dense d^3 x d^3
+        # contraction gave them
+        dense = {("box", 0): 0.1605115945346135,
+                 ("box", 1): 0.2727398825562919,
+                 ("fused", 2, 1, 0): 0.9975061511660909,
+                 ("fused", 2, 1, 1): 0.21226262992636047,
+                 ("fused", 2, -1, 0): 0.39403197693537,
+                 ("fused", 2, -1, 1): 0.7155992059450761,
+                 ("fused", 3, 1, 0): 0.8792215305257411,
+                 ("fused", 3, -1, 0): 0.6390166235112602,
+                 ("dynamical", 0): 1.7764290073077964}
+        for key, want in dense.items():
+            ps = sample_params(key[-1])
+            fld = NumericField(ps.q)
+            if key[0] == "box":
+                report = check_twisted_ybe(fld, vector_builder(fld), ps.u,
+                                           ps.v, ps.w, ps.x, shift=0)
+            elif key[0] == "fused":
+                n, sign = key[1:3]
+                report = check_fused_ybe(fld, n, sign, ps.u, ps.v, ps.w,
+                                         ps.x, shift=n - 1)
+            else:
+                report = check_dynamical_ybe(fld, 2, 1, ps.u, ps.v, ps.w,
+                                             0.7 + 0.3j, weight=-3)
+            assert report.residual == pytest.approx(want, rel=1e-9), key
+
+    def test_off_sector_entry_fails(self, nf, ps, ef):
+        # an entry that changes the total weight lies outside every
+        # sector block, so only the off-sector share can see it
+        for mats in (twisted_ybe_factors(nf, vector_builder(nf), ps.u, ps.v,
+                                         ps.w, ps.x),
+                     twisted_ybe_factors(nf, fused_builder(nf, 2, 1, []),
+                                         ps.u, ps.v, ps.w, ps.x)):
+            assert passes(ybe_residual(mats), False, 1e-8)
+            for i, op in enumerate(mats):
+                mat = op.mat.copy()
+                mat[_off_sector_entry(op)] += 1e-6 * np.linalg.norm(mat)
+                bad = list(mats)
+                bad[i] = Operator(mat, op.legs, op.weights)
+                details = {}
+                res = ybe_residual(bad, details)
+                assert not passes(res, False, 1e-8), i
+                assert res == pytest.approx(1e-6, rel=1e-3), i
+                assert details["off_sector"] == res
+        exact = twisted_ybe_factors(ef, vector_builder(ef), ef.u, ef.v, ef.w,
+                                    ef.x)
+        assert ybe_residual(exact) == 0.0
+        for i, op in enumerate(exact):
+            mat = op.mat.copy()
+            mat[_off_sector_entry(op)] = ef.one
+            bad = list(exact)
+            bad[i] = Operator(mat, op.legs, op.weights)
+            assert ybe_residual(bad) == float("inf"), i
+
+    def test_mismatched_factor_legs_raise(self, nf, ps):
+        mats = list(twisted_ybe_factors(nf, vector_builder(nf), ps.u, ps.v,
+                                        ps.w, ps.x))
+        mats[3] = Operator(np.eye(12, dtype=complex), (4, 3))
+        with pytest.raises(ValueError, match="do not match legs"):
+            ybe_residual(mats)

@@ -13,6 +13,20 @@ def test_additive_inverse_is_zero():
     assert (F.q - F.q).is_zero
 
 
+def test_subtracting_zero_returns_the_operand(monkeypatch):
+    a = F.q * F.u + F.one
+    negated = []
+    neg = RationalFunction.__neg__
+    monkeypatch.setattr(RationalFunction, "__neg__",
+                        lambda s: negated.append(s) or neg(s))
+    assert (a - F.zero) is a
+    assert (a - 0) is a
+    assert (F.zero - F.zero).is_zero
+    # no negated copy is built for a zero operand
+    assert negated == []
+    assert F.zero - a == -a
+
+
 def test_cross_multiplication_equality():
     # (q^2 - 1)/(q - 1) equals q + 1 without any gcd computation
     ratio = (F.q * F.q - F.one) / (F.q - F.one)

@@ -4,10 +4,10 @@ import pytest
 from xrmatrix import (Operator, RationalFunction, apply_at_legs,
                       column_space, commutant_dimension, exact_inverse,
                       exact_solve, identity, kron, matmul, matrix_unit,
-                      restrict, restrict_action, shared_leg_product,
-                      vector_rmatrix)
+                      restrict, restrict_action, vector_rmatrix)
 from xrmatrix import tensorops
-from xrmatrix.tensorops import SubspaceBasis, exact_all_zero
+from xrmatrix.tensorops import (SubspaceBasis, exact_all_zero,
+                                product_weights)
 
 
 def _flat(i, j):
@@ -121,40 +121,23 @@ def test_embed_dimension_mismatch(nf):
         apply_at_legs(square, 1, (4, 4, 4), block[:16])
 
 
-def test_shared_leg_product_is_kron(ef):
-    rng = np.random.default_rng(4)
+def test_operator_weights_must_match_legs():
+    w = ((0,), (1,), (1,))
+    assert Operator(np.eye(9), (3, 3), (w, w)).scaled(2.0).weights == (w, w)
+    with pytest.raises(ValueError, match="weights do not match"):
+        Operator(np.eye(9), (3, 3), (w,))
+    with pytest.raises(ValueError, match="weights do not match"):
+        Operator(np.eye(9), (3, 3), (w, w[:2]))
 
-    def numeric(legs):
-        n = int(np.prod(legs))
-        return Operator(rng.normal(size=(n, n))
-                        + 1j * rng.normal(size=(n, n)), legs)
 
-    def exact(legs):
-        n = int(np.prod(legs))
-        mat = ef.zeros((n, n))
-        for (i, j), k in np.ndenumerate(rng.integers(-3, 4, size=(n, n))):
-            mat[i, j] = ef.from_int(int(k))
-        return Operator(mat, legs)
-
-    for legs in ((3, 3, 3), (2, 3, 4)):
-        x12, y23 = numeric(legs[:2]), numeric(legs[1:])
-        k12 = _kron_embedded(x12.mat, 1, legs, np.eye)
-        k23 = _kron_embedded(y23.mat, 2, legs, np.eye)
-        for out, ref in ((shared_leg_product(x12, 1, y23), k12 @ k23),
-                         (shared_leg_product(y23, 2, x12), k23 @ k12)):
-            assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
-    legs = (3, 3, 3)
-    x12, y23 = exact(legs[:2]), exact(legs[1:])
-    k12 = _kron_embedded(x12.mat, 1, legs, ef.eye)
-    k23 = _kron_embedded(y23.mat, 2, legs, ef.eye)
-    for out, ref in ((shared_leg_product(x12, 1, y23), k12 @ k23),
-                     (shared_leg_product(y23, 2, x12), k23 @ k12)):
-        assert out.dtype == object
-        assert exact_all_zero(out - ref)
-    with pytest.raises(ValueError, match="share"):
-        shared_leg_product(numeric((2, 3)), 1, numeric((2, 3)))
-    with pytest.raises(ValueError, match="out of range"):
-        shared_leg_product(x12, 3, y23)
+def test_product_weights_are_flat_sums():
+    a = ((1, 0), (0, 2))
+    b = ((5, 5), (0, 0), (-1, 1))
+    got = product_weights((a, b))
+    assert got.tolist() == [[i + k, j + l] for i, j in a for k, l in b]
+    # an ungraded leg, one zero column, broadcasts against a graded one
+    assert product_weights((np.zeros((2, 1), int), b)).tolist() == \
+        [list(w) for w in b] * 2
 
 
 def test_column_space_dimensions(nf):
@@ -430,16 +413,6 @@ def test_exact_stage_block_is_object_matmul_term_for_term(ef, monkeypatch):
     _assert_same_terms(apply_at_legs(stage, 2, legs, state),
                        _object_matmul_reference(monkeypatch, apply_at_legs,
                                                 stage, 2, legs, state))
-
-
-def test_exact_shared_leg_product_is_object_matmul_term_for_term(
-        ef, monkeypatch):
-    r1 = vector_rmatrix(ef, ef.u, ef.v, ef.x)
-    r2 = vector_rmatrix(ef, ef.v, ef.w, ef.q * ef.x)
-    for pos in (1, 2):
-        ref = _object_matmul_reference(monkeypatch, shared_leg_product, r1,
-                                       pos, r2)
-        _assert_same_terms(shared_leg_product(r1, pos, r2), ref)
 
 
 def test_exact_apply_at_legs_forms_no_zero_product(ef, monkeypatch):
