@@ -13,18 +13,20 @@ import json
 import sys
 
 from .cartan import cartan_json
-from .fusion import (fused_restriction, fused_space, fusion_constant,
-                     symmetrizer)
+from .fusion import (FusedDimensionError, fused_restriction, fused_space,
+                     fusion_constant, symmetrizer)
 from .reports import basis_to_json, dump, matrix_to_json
 from .rmatrix import vector_rmatrix, vector_rmatrix_spectral
 from .scalars import ExactField, NumericField
 from .suite import CHECKS, LEVELS, SuiteConfig, run_suite
 
 
-# fused levels above 5 do not fit in memory: a fused restriction carries
-# a state of 4^n d rows and d^2 columns, 0.9 GB of complex entries at
-# n = 6 (d = 24), 131 MB at n = 5 (d = 20).  Rows of the check table
-# with a lower max_n lower it further.
+# fused levels above 5 are out of reach: each fused space is cut from
+# the dense symmetrizer on 4^n states, at n = 6 a 4096 x 4096 complex
+# matrix (268 MB) whose column pivoting makes a rank-one update of the
+# whole remaining matrix per column.  The restriction keeps only the
+# in-sector entries of its state, at most 0.23M of them at n = 5.  Rows
+# of the check table with a lower max_n lower it further.
 _MAX_N = 5
 
 
@@ -235,7 +237,7 @@ def _cmd_fusion_report(args) -> int:
         payload[f"basis_{label}"] = basis_to_json(space.basis)
         const = fusion_constant(fld, args.n, ps.u, ps.x, sg, sym=sym)
         payload[f"constant_{label}"] = {"re": const.real, "im": const.imag}
-    _, payload["invariance_residual"] = fused_restriction(
+    _, payload["invariance_residual"], _ = fused_restriction(
         fld, args.n, ps.u, ps.v, ps.x, cfg.sign)
     # fusion-report has no --samples: the level runs at --seed alone
     ybe, = run_suite("fused-ybe", cfg)
@@ -306,6 +308,10 @@ def main(argv=None) -> int:
                          f"{_check_row(args)}; use --backend numeric")
     try:
         return _COMMANDS[args.command](args)
+    except FusedDimensionError as err:
+        # a parameter point where the fused rank decision fails
+        print(f"{args.command}: {err}", file=sys.stderr)
+        return 2
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return 3

@@ -50,7 +50,8 @@ def check_dynamical_ybe(fld, n: int, sign: int, u, v, w, lam: complex,
 
     weight defaults to the fused space's genuine weight -n; a fake one
     such as -(n+1) makes it fail.  details carry the worst restriction
-    invariance residual of the fused factors built.
+    residual and stage off-sector share of the fused factors built, as
+    check_fused_ybe reports them.
     """
     if a is None:
         a = cmath.log(fld.q)

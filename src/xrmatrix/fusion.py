@@ -11,11 +11,16 @@ elementary matrices leg by leg along the canonical reduced word,
 updating the parameter tuple by partial permutations.  The fused
 R-matrix restricts the block-swap chain one moving leg at a time, so no
 operator or block on all 2n legs is formed; the fused spaces between the
-two ends are twisted from the first one rather than built.
+two ends are twisted from the first one rather than built.  Every stage
+conserves the joint (K_1, K_3) weight, so the restriction keeps only the
+entries of its state that lie in the weight sector of their column, and
+applies each stage, and the last solve, one weight class at a time
+through cached index plans.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,9 +32,10 @@ from .reports import CheckReport, scalar_to_json
 from .rmatrix import (RMatrixBuilder, _intertwining_report,
                       check_twisted_ybe, vector_rmatrix)
 from .superalgebra import _ALL_TAGS, LocalRep, ProductRep, tuple_rep
-from .tensorops import (Operator, SubspaceBasis, _is_exact, apply_at_legs,
-                        column_space, column_weights, matmul,
-                        max_term_count, passes, residual, restrict,
+from .tensorops import (INVARIANCE_TOL, Operator, SubspaceBasis, _is_exact,
+                        apply_at_legs, column_space, column_weights,
+                        exact_solve, frobenius, matmul, max_term_count,
+                        passes, product_weights, residual, restrict,
                         restrict_action)
 
 _MAX_SYMMETRIC_GROUP = 6
@@ -276,13 +282,29 @@ class FusedSpace:
         return self.basis.dim
 
 
+class FusedDimensionError(ValueError):
+    """A fused space came out with a dimension other than 4n."""
+
+    def __init__(self, n: int, sign: int, x, dim: int):
+        super().__init__(
+            f"fused space at n = {n}, sign {'+' if sign > 0 else '-'}, "
+            f"x = {x} has dimension {dim}, not {4 * n}")
+        self.n, self.sign, self.x, self.dim = n, sign, x, dim
+
+
 def fused_space(fld, n: int, x, sign: int,
                 sym: Symmetrizer = None) -> FusedSpace:
+    """The fused space: the pivot columns of the normalized symmetrizer.
+
+    Raises FusedDimensionError unless there are 4n of them, the
+    dimension of the q-(anti)symmetric power, so that a rank decision
+    gone wrong is named here rather than surfacing as a shape error.
+    """
     if sym is None:
         sym = symmetrizer(fld, n, x, sign)
     basis = column_space(sym.normalized.mat)
-    if basis.dim == 0:
-        raise RuntimeError("symmetrizer image is zero")
+    if basis.dim != 4 * n:
+        raise FusedDimensionError(n, sign, x, basis.dim)
     # the symmetrizer conserves the weight, so each of its columns is
     # supported on the states of a single weight
     weights = column_weights(basis.columns, (vector_weights(),) * n)
@@ -307,22 +329,229 @@ def _twisted_basis(fld, basis: SubspaceBasis, lam, n: int) -> SubspaceBasis:
     return SubspaceBasis(basis.columns * weights[:, None])
 
 
+# ---------------------------------------------------------------------------
+# the restriction's index plans, one weight class at a time
+
+class _Gather:
+    """Places the entries src of a flat array at the positions dst of a
+    zero array of the given shape: a step's input, zero-padded to
+    (classes, states, contexts), or the fused R-matrix.  Plans are
+    shared through functools.cache, so their arrays are read-only."""
+
+    def __init__(self, shape: tuple, src: np.ndarray, dst: np.ndarray):
+        self.shape = shape
+        self.src, self.dst = _read_only(src), _read_only(dst)
+
+    def __call__(self, fld, flat: np.ndarray) -> np.ndarray:
+        out = fld.zeros(self.shape)
+        out.reshape(-1)[self.dst] = flat[self.src]
+        return out
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _class_tables(*weights):
+    """Weight classes shared by several lists of states, one weight row
+    per state.  Returns, per list, each state's class and its rank in the
+    class, and the (classes, width) table of each class's states in
+    increasing order, padded with -1; width is the list's largest
+    class."""
+    ids = np.unique(np.concatenate(weights), axis=0,
+                    return_inverse=True)[1].ravel()
+    classes = int(ids.max()) + 1
+    out = []
+    for lab in np.split(ids, np.cumsum([len(w) for w in weights])[:-1]):
+        count = np.bincount(lab, minlength=classes)
+        order = np.argsort(lab, kind="stable")
+        rank = np.empty_like(lab)
+        start = np.cumsum(count) - count
+        rank[order] = np.arange(len(lab)) - start[lab[order]]
+        table = np.full((classes, int(count.max())), -1)
+        table[lab, rank] = np.arange(len(lab))
+        out.append((lab, rank, _read_only(table)))
+    return out
+
+
+def _blocks(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray, zero):
+    """The weight-class blocks of mat, stacked: block c is
+    mat[rows[c], cols[c]], zero where either index is the padding -1."""
+    out = mat[rows[:, :, None], cols[:, None, :]]
+    return np.where((rows[:, :, None] >= 0) & (cols[:, None, :] >= 0), out,
+                    zero)
+
+
+def _step(entries, a: int, b: int, in_weights, out_weights, out_sizes):
+    """Plan a weight-conserving map from legs a, ..., b-1 of the state,
+    whose joint states have weights in_weights, to legs of out_sizes,
+    whose joint states have weights out_weights.
+
+    entries = (col, idx, pos, sizes) lists the state's entries by fused
+    R-matrix column, index on each leg and position in the flat state,
+    with the size of each leg.  The entries that agree on the column and
+    on the other legs and whose input state lies in one weight class
+    form a context, a column for the class block of the map.  The
+    contexts of each class are gathered side by side, zero-padded to one
+    shape, and each yields every output state of its class, the entries
+    of the next state.  Returns the gather, the (classes, width) tables
+    of the output states (rows) and input states (cols) of each class,
+    the map's entries that change the weight, and the next state's
+    entries.
+    """
+    col, idx, pos, sizes = entries
+    (in_lab, in_rank, cols), (out_lab, _, rows) = _class_tables(in_weights,
+                                                                out_weights)
+    state = np.ravel_multi_index(tuple(idx[:, a:b].T), sizes[a:b])
+    label = in_lab[state]
+    others = [k for k in range(len(sizes)) if not a <= k < b]
+    key = np.ravel_multi_index((col, *idx[:, others].T),
+                               (int(col.max()) + 1,
+                                *(sizes[k] for k in others)))
+    # number the distinct (class, key) contexts from 0 within each class
+    _, first, inverse = np.unique(label * (int(key.max()) + 1) + key,
+                                  return_index=True, return_inverse=True)
+    ctx_class = label[first]
+    count = np.bincount(ctx_class, minlength=len(cols))
+    slot = np.arange(len(first)) - (np.cumsum(count) - count)[ctx_class]
+    shape = (len(cols), cols.shape[1], int(count.max()))
+    gather = _Gather(shape, pos, np.ravel_multi_index(
+        (label, in_rank[state], slot[inverse.ravel()]), shape))
+    # each context yields the output states of its class, in rank order
+    per = (rows >= 0).sum(axis=1)[ctx_class]
+    ctx = np.repeat(np.arange(len(first)), per)
+    rank = np.arange(len(ctx)) - np.repeat(np.cumsum(per) - per, per)
+    idx = idx[first[ctx]]
+    idx = np.column_stack((idx[:, :a],
+                           *np.unravel_index(rows[ctx_class[ctx], rank],
+                                             out_sizes),
+                           idx[:, b:]))
+    pos = np.ravel_multi_index((ctx_class[ctx], rank, slot[ctx]),
+                               (len(rows), rows.shape[1], shape[2]))
+    return (gather, rows, cols,
+            _read_only(out_lab[:, None] != in_lab[None, :]),
+            (col[first[ctx]], idx, pos, sizes[:a] + out_sizes + sizes[b:]))
+
+
+@functools.cache
+def _restriction_plan(n: int, w1: tuple, w2: tuple):
+    """Index plans of fused_restriction for fused spaces of weights w1
+    (at x) and w2 (at q^n x), linear in the number of in-sector entries:
+    one (gather, rows, cols, off) per stage, p = n-1, ..., 0, with the
+    entries off of S_p that change the weight, and (gather, rows, cols,
+    entry_col, result) for the last solve, with the fused R-matrix column
+    of each entry it gathers and the gather of the fused R-matrix from
+    the solution.
+
+    The state starts as the columns of B(x), read as the state
+    kron(B(x), I_d) on legs (4, ..., 4, d): only its entries whose last
+    leg matches the column's second index can be nonzero.  Stage S_p
+    takes legs (p, p+1) from (4, d) to (d, 4), and the last solve takes
+    the n vector legs to the coordinates of B(q^n x).  An entry that no
+    step reaches is zero.
+    """
+    vec = np.array(vector_weights())
+    w1, w2 = np.array(w1), np.array(w2)
+    d1, d2 = len(w1), len(w2)
+    # the weight of each state of the n vector legs; B(x) holds state s
+    # in column i only where it is w1[i]
+    legs_n = product_weights((vec,) * n)
+    s, i = np.nonzero((legs_n[:, None] == w1[None]).all(axis=-1))
+    j = np.tile(np.arange(d2), len(s))
+    idx = np.column_stack(np.unravel_index(np.repeat(s, d2), (4,) * n) + (j,))
+    entries = (np.repeat(i, d2) * d2 + j, idx, np.repeat(s * d1 + i, d2),
+               (4,) * n + (d2,))
+    stages = []
+    for p in reversed(range(n)):
+        hi = w2 if p == n - 1 else w1
+        # pair states a * dim(hi) + b on legs (4, hi), l * 4 + e on (lo, 4)
+        *stage, entries = _step(entries, p, p + 2,
+                                (vec[:, None] + hi[None]).reshape(-1, 2),
+                                (w1[:, None] + vec[None]).reshape(-1, 2),
+                                (d1, 4))
+        stages.append(tuple(stage))
+    # column b of B(q^n x) has weight w2[b]
+    gather, rows, cols, _, (col, idx, pos, _) = _step(entries, 1, n + 1,
+                                                      legs_n, w2, (d2,))
+    # entry (l, b) of the solution's column col is entry ((l, b), col) of
+    # the fused R-matrix
+    d = d1 * d2
+    result = _Gather((d, d), pos, np.ravel_multi_index(
+        (idx[:, 0] * d2 + idx[:, 1], col), (d, d)))
+    return tuple(stages), (gather, rows, cols, _read_only(entries[0]),
+                           result)
+
+
+def _solve_sectors(fld, solve: tuple, basis: SubspaceBasis, flat: np.ndarray,
+                   d1: int):
+    """Solve B*S = state through the basis B of the fused space at q^n x
+    on the last n legs, one weight block of B at a time; returns the
+    fused R-matrix and the relative residual ||B*S - state|| /
+    max(||state||, sqrt(d1) ||B||), as restrict_action gives it for the
+    bases (I_d1, B).  Raises ValueError naming the worst column of the
+    fused R-matrix when the state leaves span(B): on the exact backend
+    through exact_solve, on the numeric one when the residual does not
+    pass INVARIANCE_TOL."""
+    gather, rows, cols, entry_col, result = solve
+    state = gather(fld, flat)
+    # B takes the output states of the solve, its columns, to the input
+    # states, its rows
+    blocks = _blocks(basis.columns, cols, rows, fld.zero)
+    rel = 0.0
+    if _is_exact(state):
+        sol = fld.zeros((len(rows), rows.shape[1], state.shape[2]))
+        for c, (r, k) in enumerate(zip((cols >= 0).sum(axis=1),
+                                       (rows >= 0).sum(axis=1))):
+            sol[c, :k] = exact_solve(blocks[c, :r, :k], state[c, :r])
+    else:
+        sol = matmul(np.linalg.pinv(blocks), state)
+        delta = matmul(blocks, sol)
+        delta -= state
+        scale = max(frobenius(state), math.sqrt(d1) * frobenius(basis.columns),
+                    1e-300)
+        rel = frobenius(delta) / scale
+        if not passes(rel, False, INVARIANCE_TOL):
+            norms = np.sqrt(np.bincount(
+                entry_col, np.abs(delta.reshape(-1)[gather.dst]) ** 2))
+            worst = int(np.argmax(norms))
+            raise ValueError(
+                f"subspace is not invariant: column {worst} has relative "
+                f"residual {norms[worst] / scale:.3e}")
+    return result(fld, sol.reshape(-1)), rel
+
+
 def fused_restriction(fld, n: int, u, v, x, sign: int, spaces=None):
-    """The chained R-matrix over the block swap, restricted to the
-    fused subspace pair at (x, q^n x), and its invariance residual.
+    """The chained R-matrix over the block swap, restricted to the fused
+    subspace pair at (x, q^n x); returns it with its residual and the
+    off-sector share of its stages.
 
     The canonical word of the block swap, applied right to left, moves
     leg p = n-1, ..., 0 of block 1 through all of block 2, which then
     sits on legs p+1, ..., p+n in the fused space at q^(p+1) x and is
     carried to legs p, ..., p+n-1 in the one at q^p x (the order of
     Kulish, Reshetikhin and Sklyanin).  Each stage is one chain over n+1
-    legs, restricted once to a (d*4) x (4*d) matrix S_p, and applied to
-    the state kron(B(x), I_d) at its legs (p, p+1), which go from (4, d)
-    to (d, 4).  A last solve through B(q^n x) finishes, so the largest
-    block has d*4^n rows.  The spaces at q x, ..., q^(n-1) x are twisted
-    from the one at x (_twisted_basis); only the pair is built from
-    symmetrizers.  Raises if a stage is not invariant; the residual
-    returned is the worst over the stages and the last solve.
+    legs, restricted once to a (d*4) x (4*d) matrix S_p, which takes
+    legs (p, p+1) of the state kron(B(x), I_d) from (4, d) to (d, 4).  A
+    last solve through B(q^n x) finishes.  The spaces at q x, ...,
+    q^(n-1) x are twisted from the one at x (_twisted_basis); only the
+    pair is built from symmetrizers.
+
+    Every stage conserves the joint (K_1, K_3) weight, so each column of
+    the state, a pair of fused basis vectors, lives on the states of its
+    own total weight, and only those entries are kept.  S_p acts as one
+    small block per weight class of its two legs, all blocks in one
+    batched matmul over the contexts of each class, and the last solve
+    runs one weight block of B(q^n x) at a time (exact_solve on the
+    exact backend).  The index plans depend only on n and the weights of
+    the two fused spaces and are cached (_restriction_plan).
+
+    The entries of S_p that change the weight of its legs are left out;
+    their share ||S_off|| / ||S_p|| (exact: inf if any is nonzero),
+    worst over the stages, is returned as the off-sector share.  Raises
+    if a stage or the last solve is not invariant; the residual returned
+    is the worst over the stages, the last solve and the off-sector
+    share.
     """
     if spaces is None:
         spaces = (fused_space(fld, n, x, sign),
@@ -338,28 +567,26 @@ def fused_restriction(fld, n: int, u, v, x, sign: int, spaces=None):
                       gam.act(tuple(v * p for p in prof)))
     cycle = Permutation([n] + list(range(n)))
     four = SubspaceBasis(fld.eye(4))
-    legs = [4] * n + [sp2.dim]
-    state = np.kron(sp1.basis.columns, fld.eye(sp2.dim))
-    worst = 0.0
-    for p in reversed(range(n)):
+    stages, solve = _restriction_plan(n, sp1.weights, sp2.weights)
+    flat = sp1.basis.columns.reshape(-1)
+    worst = off = 0.0
+    for p, (gather, rows, cols, outside) in zip(reversed(range(n)), stages):
         lo, hi = bases[p], bases[p + 1]
         action = apply_chain(fld, (a[p],) + a[n:], fld.q_power(p) * x, cycle,
                              np.kron(fld.eye(4), hi.columns))
         stage, rel = restrict_action((lo, four), action)
         worst = max(worst, rel)
-        # S_p takes legs (4, d) at (p, p+1) to (d, 4)
-        state = apply_at_legs(Operator(stage, (4, hi.dim)), p + 1, legs,
-                              state)
-        legs[p], legs[p + 1] = lo.dim, 4
+        off = max(off, residual(stage[outside], [stage]))
+        flat = matmul(_blocks(stage, rows, cols, fld.zero),
+                      gather(fld, flat)).reshape(-1)
     # block 1, now on the last n legs, lies in the fused space at q^n x
-    small, rel = restrict_action((SubspaceBasis(fld.eye(sp1.dim)), sp2.basis),
-                                 state)
+    small, rel = _solve_sectors(fld, solve, sp2.basis, flat, sp1.dim)
     return (Operator(small, (sp1.dim, sp2.dim), (sp1.weights, sp2.weights)),
-            max(worst, rel))
+            max(worst, rel, off), off)
 
 
 def fused_rmatrix(fld, n: int, u, v, x, sign: int, spaces=None) -> Operator:
-    """The fused R-matrix: fused_restriction without its residual."""
+    """The fused R-matrix: fused_restriction without its residuals."""
     return fused_restriction(fld, n, u, v, x, sign, spaces)[0]
 
 
@@ -369,8 +596,8 @@ def fused_builder(fld, n: int, sign: int, residuals: list) -> RMatrixBuilder:
 
     The cache is a short list searched with ==, which compares complex
     parameters by value and exact ones as rational functions (they are
-    not hashable).  Each build appends its restriction invariance
-    residual to residuals.
+    not hashable).  Each build appends the residual and the off-sector
+    share of its restriction to residuals, as a pair.
     """
     cache = []
 
@@ -382,10 +609,10 @@ def fused_builder(fld, n: int, sign: int, residuals: list) -> RMatrixBuilder:
         return cache[-1][1]
 
     def build(u, v, y):
-        rmat, rel = fused_restriction(
+        rmat, rel, off = fused_restriction(
             fld, n, u, v, y, sign,
             spaces=(space_at(y), space_at(fld.q_power(n) * y)))
-        residuals.append(rel)
+        residuals.append((rel, off))
         return rmat
 
     return RMatrixBuilder(build=build, shift_exponent=n)
@@ -462,13 +689,26 @@ def check_fused_intertwining(fld, n: int, u, v, x, sign: int,
 
 def check_fused_ybe(fld, n: int, sign: int, u, v, w, x, tol: float = 1e-8,
                     shift: int = None) -> CheckReport:
-    """The twisted YBE for the fused family; details carry the worst
-    restriction invariance residual of the six fused factors."""
+    """The twisted YBE for the fused family.
+
+    The factors are assembled from weight-class blocks, so their own
+    off-sector share is 0 and says nothing; what the restriction left
+    out is the off-sector share of its stage matrices S_p.  The worst of
+    those over the six factors is details.off_sector (numeric) and is
+    part of the residual, as the factors' share is in ybe_residual.
+    details.restriction_residual is the worst restriction residual of
+    the six factors, the share included.
+    """
     residuals = []
     builder = fused_builder(fld, n, sign, residuals)
     report = check_twisted_ybe(fld, builder, u, v, w, x, tol=tol, shift=shift,
                                name="fused-ybe")
+    rel, off = map(max, zip(*residuals))
+    report.residual = max(report.residual, off)
+    report.passed = passes(report.residual, report.exact, tol)
     report.details["sign"] = sign
     report.details["n"] = n
-    report.details["restriction_residual"] = max(residuals)
+    report.details["restriction_residual"] = rel
+    if not report.exact:
+        report.details["off_sector"] = off
     return report

@@ -151,11 +151,3 @@ def all_reduced_words(perm: Permutation) -> tuple:
     perm = (perm s_i) s_i with the length dropping by one.
     """
     return _words(perm.one_line)
-
-
-def compose_word(n: int, word) -> Permutation:
-    """Rebuild the permutation from a word, left-to-right composition."""
-    out = Permutation.identity(n)
-    for i in word:
-        out = out * Permutation.adjacent(n, i)
-    return out

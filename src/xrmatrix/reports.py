@@ -81,16 +81,6 @@ def basis_to_json(basis) -> dict:
     return {"shape": [basis.ambient, basis.dim], "entries": entries}
 
 
-def rep_to_json(rep) -> dict:
-    """All generator images of a representation, keyed by tag."""
-    legs = [rep.dim]
-    return {
-        "x": scalar_to_json(rep.x),
-        "images": {tag: matrix_to_json(img, legs)
-                   for tag, img in rep.images.items()},
-    }
-
-
 def dump(obj: dict, path: str) -> None:
     """Byte-stable JSON dump (sorted keys, fixed separators)."""
     text = json.dumps(obj, sort_keys=True, indent=1)

@@ -156,6 +156,20 @@ def test_usage_error_is_exit_2(capsys, monkeypatch):
                    "check-dynamical"]
 
 
+def test_wrong_fused_dimension_is_exit_2(capsys):
+    # at seed 0 and x = 1e-8 the numeric pivoting keeps a ninth column in
+    # the n = 2 sign - fused space; both commands name it on one line
+    for argv in (["check-ybe", "--level", "fused", "--n", "2", "--sign",
+                  "minus", "--x", "1e-8,0", "--seed", "0", "--samples", "1"],
+                 ["fusion-report", "--n", "2", "--x", "1e-8,0", "--seed",
+                  "0"]):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert err == (f"{argv[0]}: fused space at n = 2, sign -, "
+                       "x = (1e-08+0j) has dimension 9, not 8\n"), argv
+
+
 def _masked(out):
     return [{k: v for k, v in json.loads(line).items() if k != "elapsed_ms"}
             for line in out.splitlines()]
@@ -423,13 +437,10 @@ def test_verify_repeated_runs_match(capsys):
     assert strip(first) == strip(second)
 
 
-def test_rep_and_basis_serialization(nf, ps):
-    from xrmatrix import fused_space, vector_rep
-    from xrmatrix.reports import basis_to_json, rep_to_json
+def test_basis_serialization(nf, ps):
+    from xrmatrix import fused_space
+    from xrmatrix.reports import basis_to_json
 
-    blob = rep_to_json(vector_rep(nf, ps.x))
-    assert set(blob) == {"x", "images"}
-    assert blob["images"]["E0"]["entries"] == [[3, 0, {"re": 1.0, "im": 0.0}]]
     basis = fused_space(nf, 2, ps.x, 1).basis
     assert basis_to_json(basis)["shape"] == [16, 8]
 

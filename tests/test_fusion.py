@@ -1,13 +1,14 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from xrmatrix import (GENERATORS, NumericField, chain_rmatrix,
-                      check_fused_intertwining, check_fused_ybe,
-                      check_fusion_constant, check_hecke_relations,
-                      check_projector_commutation, commutant_dimension,
-                      fused_local_rep, fused_rmatrix,
+from xrmatrix import (GENERATORS, FusedDimensionError, NumericField,
+                      chain_rmatrix, check_fused_intertwining,
+                      check_fused_ybe, check_fusion_constant,
+                      check_hecke_relations, check_projector_commutation,
+                      commutant_dimension, fused_local_rep, fused_rmatrix,
                       fused_space, fusion_constant, hecke_generator_images,
                       q_profile, sample_params, symmetrizer,
                       tensor_projectors, tuple_rep, vector_rmatrix)
@@ -18,8 +19,9 @@ from xrmatrix.permutations import (Permutation, all_reduced_words,
                                    concat_tuples)
 from xrmatrix.superalgebra import coproduct_image
 from xrmatrix.cartan import vector_weights
-from xrmatrix.tensorops import (Operator, SubspaceBasis, column_weights,
-                                residual, restrict, restrict_action)
+from xrmatrix.tensorops import (Operator, SubspaceBasis, apply_at_legs,
+                                column_weights, product_weights, residual,
+                                restrict, restrict_action)
 
 
 class TestHecke:
@@ -260,6 +262,23 @@ class TestFusedSpaces:
         with pytest.raises(ValueError, match="column 0"):
             column_weights(exact, legs)
 
+    def test_wrong_dimension_is_named(self, nf, ps, monkeypatch):
+        # one column short of 4n, as a failed rank decision would give
+        real = fusion.column_space
+        monkeypatch.setattr(fusion, "column_space", lambda mat: SubspaceBasis(
+            real(mat).columns[:, :-1]))
+        with pytest.raises(FusedDimensionError,
+                           match=r"n = 3, sign \+, .* has dimension 11, "
+                                 r"not 12"):
+            fused_space(nf, 3, ps.x, 1)
+        monkeypatch.undo()
+        # a point where the numeric pivoting keeps a dependent column
+        fld = NumericField(sample_params(0).q)
+        with pytest.raises(FusedDimensionError,
+                           match=r"n = 2, sign -, x = \(1e-08\+0j\) has "
+                                 r"dimension 9, not 8"):
+            fused_space(fld, 2, 1e-8 + 0j, -1)
+
     def test_twisted_basis_exact(self, ef):
         base = fused_space(ef, 2, ef.x, 1).basis
         target = fused_space(ef, 2, ef.q * ef.x, 1).basis
@@ -282,7 +301,49 @@ def _kron_route(fld, n, u, v, x, sign):
     return restrict_action((SubspaceBasis(block),), action)[0]
 
 
+def _dense_staged_route(fld, n, u, v, x, sign):
+    """The fused R-matrix by the dense staged route: the whole state
+    kron(B(x), I_d), d*4^n rows by d^2 columns, carried through each
+    stage S_p by apply_at_legs, then one restrict_action through
+    (I_d, B(q^n x))."""
+    sp1 = fused_space(fld, n, x, sign)
+    sp2 = fused_space(fld, n, fld.q_power(n) * x, sign)
+    bases = ([sp1.basis]
+             + [_twisted_basis(fld, sp1.basis, fld.q_power(p), n)
+                for p in range(1, n)]
+             + [sp2.basis])
+    gam = Permutation.reversal(n)
+    prof = q_profile(fld, n, sign)
+    a = concat_tuples(gam.act(tuple(u * p for p in prof)),
+                      gam.act(tuple(v * p for p in prof)))
+    cycle = Permutation([n] + list(range(n)))
+    four = SubspaceBasis(fld.eye(4))
+    legs = [4] * n + [sp2.dim]
+    state = np.kron(sp1.basis.columns, fld.eye(sp2.dim))
+    for p in reversed(range(n)):
+        lo, hi = bases[p], bases[p + 1]
+        action = apply_chain(fld, (a[p],) + a[n:], fld.q_power(p) * x, cycle,
+                             np.kron(fld.eye(4), hi.columns))
+        stage = restrict_action((lo, four), action)[0]
+        state = apply_at_legs(Operator(stage, (4, hi.dim)), p + 1, legs,
+                              state)
+        legs[p], legs[p + 1] = lo.dim, 4
+    return restrict_action((SubspaceBasis(fld.eye(sp1.dim)), sp2.basis),
+                           state)[0]
+
+
 class TestFusedRMatrix:
+    @pytest.mark.parametrize("seed", (0, 7))
+    def test_sector_route_matches_dense_staged_route(self, seed):
+        ps = sample_params(seed)
+        fld = NumericField(ps.q)
+        for n in (2, 3, 4):
+            for sign in (1, -1):
+                ref = _dense_staged_route(fld, n, ps.u, ps.v, ps.x, sign)
+                got = fused_rmatrix(fld, n, ps.u, ps.v, ps.x, sign).mat
+                assert (np.linalg.norm(got - ref)
+                        < 1e-12 * np.linalg.norm(ref)), (n, sign)
+
     def test_staged_restriction_matches_kron_route(self, nf, ps):
         for n in (2, 3):
             for sign in (1, -1):
@@ -408,7 +469,7 @@ class TestFusedYBE:
         for sign in (1, -1):
             report = check_fused_ybe(nf, 2, sign, u, v, w, ps.x, tol=1e-8)
             assert report.passed
-            # the worst invariance residual of the six fused factors
+            # the worst restriction residual of the six fused factors
             worst = max(
                 fused_restriction(nf, 2, a, b, y, sign)[1]
                 for a, b, y in ((v, w, ps.x), (u, w, xs), (u, v, ps.x),
@@ -430,6 +491,50 @@ class TestFusedYBE:
         report = check_fused_ybe(ef, 1, 1, ef.u, ef.v, ef.w, ef.x)
         assert report.passed
         assert built == [ef.x, ef.q * ef.x, ef.q_power(2) * ef.x]
+
+    def test_off_sector_stage_entry_fails(self, nf, ps, ef, monkeypatch):
+        # the sector route leaves out the entries of a stage matrix S_p
+        # that change the weight of its two legs, so only their share
+        # can see one planted there
+        vec = vector_weights()
+
+        def planting(value):
+            def restrict_stage(bases, action):
+                stage, rel = restrict_action(bases, action)
+                lo, _ = bases
+                n = round(math.log(lo.ambient, 4))
+                rows = product_weights(
+                    (column_weights(lo.columns, (vec,) * n), vec))
+                cols = np.array(column_weights(action, (vec,) * (n + 1)))
+                i, j = np.argwhere((rows[:, None] != cols).any(axis=-1))[0]
+                stage = stage.copy()
+                stage[i, j] = value(stage)
+                return stage, rel
+
+            return restrict_stage
+
+        args = (nf, 2, ps.u, ps.v, ps.x, 1)
+        clean = fused_restriction(*args)
+        assert 0 <= clean[2] < 1e-12
+        with monkeypatch.context() as m:
+            m.setattr(fusion, "restrict_action", planting(
+                lambda s: 1e-6 * np.linalg.norm(s)))
+            rmat, rel, off = fused_restriction(*args)
+            assert np.array_equal(rmat.mat, clean[0].mat)
+            assert off == pytest.approx(1e-6, rel=1e-3)
+            assert rel >= off
+            report = check_fused_ybe(nf, 2, 1, ps.u, ps.v, ps.w, ps.x,
+                                     tol=1e-8)
+        assert not report.passed
+        assert report.details["off_sector"] == pytest.approx(1e-6, rel=1e-3)
+        assert report.residual == report.details["off_sector"]
+        assert report.details["restriction_residual"] >= report.residual
+        monkeypatch.setattr(fusion, "restrict_action",
+                            planting(lambda s: ef.one))
+        report = check_fused_ybe(ef, 1, 1, ef.u, ef.v, ef.w, ef.x)
+        assert not report.passed
+        assert report.residual == math.inf
+        assert report.details["restriction_residual"] == math.inf
 
     def test_wrong_shift_fails(self, nf, ps):
         report = check_fused_ybe(nf, 2, 1, ps.u, ps.v, ps.w, ps.x,

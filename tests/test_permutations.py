@@ -5,7 +5,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from xrmatrix.permutations import (Permutation, all_reduced_words,
-                                   compose_word, concat_tuples)
+                                   concat_tuples)
+
+
+def compose_word(n: int, word) -> Permutation:
+    """Rebuild the permutation from a word, left-to-right composition."""
+    out = Permutation.identity(n)
+    for i in word:
+        out = out * Permutation.adjacent(n, i)
+    return out
 
 
 def test_doctests():

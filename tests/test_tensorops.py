@@ -403,8 +403,8 @@ def test_exact_apply_at_legs_is_object_matmul_term_for_term(ef, monkeypatch):
 
 
 def test_exact_stage_block_is_object_matmul_term_for_term(ef, monkeypatch):
-    # the shape of a fused_restriction stage: S_p on legs (4, d), applied
-    # to a state with more rows than columns
+    # a two-leg operator on legs (4, d), applied to a state with more
+    # rows than columns
     rng = np.random.default_rng(8)
     d = 3
     stage = Operator(_sparse_exact(ef, rng, (4 * d, 4 * d), 0.4), (4, d))
