@@ -32,7 +32,7 @@ from .superalgebra import (GENERATORS, ClassicalLimit, LocalRep, ProductRep,
                            tensor_square_restrictions, tuple_rep, vector_rep)
 from .tensorops import (Operator, SubspaceBasis, apply_at_legs, column_space,
                         commutant_dimension, exact_inverse, exact_solve,
-                        identity, kron, matmul, matrix_rank, matrix_unit,
-                        residual, restrict, restrict_action)
+                        matmul, matrix_rank, matrix_unit, residual, restrict,
+                        restrict_action)
 
 __version__ = "0.1.0"

@@ -166,8 +166,6 @@ class Symmetrizer:
     op: Operator
     constant: object
     normalized: Operator
-    sign: int
-    n: int
 
 
 def symmetrizer(fld, n: int, x, sign: int) -> Symmetrizer:
@@ -209,8 +207,7 @@ def symmetrizer(fld, n: int, x, sign: int) -> Symmetrizer:
         raise RuntimeError("symmetrizer square constant fails")
     op = Operator(total, legs)
     return Symmetrizer(op=op, constant=constant,
-                       normalized=op.scaled(fld.one / constant),
-                       sign=sign, n=n)
+                       normalized=op.scaled(fld.one / constant))
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +268,6 @@ class FusedSpace:
     """Image of the normalized symmetrizer inside the n-fold tensor space,
     with the (K_1, K_3) weight of each basis vector."""
 
-    sign: int
-    n: int
-    x: object
     basis: SubspaceBasis
     weights: tuple
 
@@ -308,7 +302,7 @@ def fused_space(fld, n: int, x, sign: int,
     # the symmetrizer conserves the weight, so each of its columns is
     # supported on the states of a single weight
     weights = column_weights(basis.columns, (vector_weights(),) * n)
-    return FusedSpace(sign=sign, n=n, x=x, basis=basis, weights=weights)
+    return FusedSpace(basis=basis, weights=weights)
 
 
 def _twisted_basis(fld, basis: SubspaceBasis, lam, n: int) -> SubspaceBasis:
@@ -448,8 +442,9 @@ def _restriction_plan(n: int, w1: tuple, w2: tuple):
     kron(B(x), I_d) on legs (4, ..., 4, d): only its entries whose last
     leg matches the column's second index can be nonzero.  Stage S_p
     takes legs (p, p+1) from (4, d) to (d, 4), and the last solve takes
-    the n vector legs to the coordinates of B(q^n x).  An entry that no
-    step reaches is zero.
+    the n vector legs to the coordinates of B(q^n x), the first leg's
+    coordinates of B(x) riding along as contexts.  An entry that no step
+    reaches is zero.
     """
     vec = np.array(vector_weights())
     w1, w2 = np.array(w1), np.array(w2)
@@ -483,16 +478,14 @@ def _restriction_plan(n: int, w1: tuple, w2: tuple):
                            result)
 
 
-def _solve_sectors(fld, solve: tuple, basis: SubspaceBasis, flat: np.ndarray,
-                   d1: int):
+def _solve_sectors(fld, solve: tuple, basis: SubspaceBasis, flat: np.ndarray):
     """Solve B*S = state through the basis B of the fused space at q^n x
     on the last n legs, one weight block of B at a time; returns the
     fused R-matrix and the relative residual ||B*S - state|| /
-    max(||state||, sqrt(d1) ||B||), as restrict_action gives it for the
-    bases (I_d1, B).  Raises ValueError naming the worst column of the
-    fused R-matrix when the state leaves span(B): on the exact backend
-    through exact_solve, on the numeric one when the residual does not
-    pass INVARIANCE_TOL."""
+    max(||state||, ||B||), on the scale of restrict_action.  Raises
+    ValueError naming the worst column of the fused R-matrix when the
+    state leaves span(B): on the exact backend through exact_solve, on
+    the numeric one when the residual does not pass INVARIANCE_TOL."""
     gather, rows, cols, entry_col, result = solve
     state = gather(fld, flat)
     # B takes the output states of the solve, its columns, to the input
@@ -508,8 +501,7 @@ def _solve_sectors(fld, solve: tuple, basis: SubspaceBasis, flat: np.ndarray,
         sol = matmul(np.linalg.pinv(blocks), state)
         delta = matmul(blocks, sol)
         delta -= state
-        scale = max(frobenius(state), math.sqrt(d1) * frobenius(basis.columns),
-                    1e-300)
+        scale = max(frobenius(state), frobenius(basis.columns), 1e-300)
         rel = frobenius(delta) / scale
         if not passes(rel, False, INVARIANCE_TOL):
             norms = np.sqrt(np.bincount(
@@ -532,10 +524,11 @@ def fused_restriction(fld, n: int, u, v, x, sign: int, spaces=None):
     carried to legs p, ..., p+n-1 in the one at q^p x (the order of
     Kulish, Reshetikhin and Sklyanin).  Each stage is one chain over n+1
     legs, restricted once to a (d*4) x (4*d) matrix S_p, which takes
-    legs (p, p+1) of the state kron(B(x), I_d) from (4, d) to (d, 4).  A
-    last solve through B(q^n x) finishes.  The spaces at q x, ...,
-    q^(n-1) x are twisted from the one at x (_twisted_basis); only the
-    pair is built from symmetrizers.
+    legs (p, p+1) of the state kron(B(x), I_d) from (4, d) to (d, 4);
+    the chain's action is solved through B(q^p x) alone, its last vector
+    leg riding along as extra columns.  A last solve through B(q^n x)
+    finishes.  The spaces at q x, ..., q^(n-1) x are twisted from the
+    one at x (_twisted_basis); only the pair is built from symmetrizers.
 
     Every stage conserves the joint (K_1, K_3) weight, so each column of
     the state, a pair of fused basis vectors, lives on the states of its
@@ -566,7 +559,6 @@ def fused_restriction(fld, n: int, u, v, x, sign: int, spaces=None):
     a = concat_tuples(gam.act(tuple(u * p for p in prof)),
                       gam.act(tuple(v * p for p in prof)))
     cycle = Permutation([n] + list(range(n)))
-    four = SubspaceBasis(fld.eye(4))
     stages, solve = _restriction_plan(n, sp1.weights, sp2.weights)
     flat = sp1.basis.columns.reshape(-1)
     worst = off = 0.0
@@ -574,13 +566,14 @@ def fused_restriction(fld, n: int, u, v, x, sign: int, spaces=None):
         lo, hi = bases[p], bases[p + 1]
         action = apply_chain(fld, (a[p],) + a[n:], fld.q_power(p) * x, cycle,
                              np.kron(fld.eye(4), hi.columns))
-        stage, rel = restrict_action((lo, four), action)
+        stage, rel = restrict_action(lo, action.reshape(lo.ambient, -1))
+        stage = stage.reshape(4 * lo.dim, -1)
         worst = max(worst, rel)
         off = max(off, residual(stage[outside], [stage]))
         flat = matmul(_blocks(stage, rows, cols, fld.zero),
                       gather(fld, flat)).reshape(-1)
     # block 1, now on the last n legs, lies in the fused space at q^n x
-    small, rel = _solve_sectors(fld, solve, sp2.basis, flat, sp1.dim)
+    small, rel = _solve_sectors(fld, solve, sp2.basis, flat)
     return (Operator(small, (sp1.dim, sp2.dim), (sp1.weights, sp2.weights)),
             max(worst, rel, off), off)
 

@@ -307,7 +307,7 @@ def check_tensor_square(fld, x, y, tol: float = 1e-10) -> CheckReport:
         m = coproduct_image(tag, reps)
         for k, basis in enumerate((basis1, basis2)):
             try:
-                _, r = restrict_action((basis,), matmul(m, basis.columns),
+                _, r = restrict_action(basis, matmul(m, basis.columns),
                                        tol=math.inf)
             except ValueError:
                 # the exact solve is inconsistent: not invariant

@@ -11,7 +11,8 @@ forms only the products of two nonzero entries and sums them in the
 order np.matmul would, so each exact entry comes out as the same
 unreduced rational function.  A two-leg operator acts on a tensor
 product through apply_at_legs, which never forms the identity-padded
-embedding.
+embedding.  restrict_action solves for the matrix of an operator on an
+invariant subspace through one basis of that subspace.
 
 An operator may carry the weight of each basis vector of each leg.  The
 R-matrices conserve the total weight, so on three legs they are block
@@ -181,20 +182,11 @@ class SubspaceBasis:
         return np.linalg.pinv(self.columns)
 
 
-def identity(fld, legs) -> Operator:
-    n = int(np.prod(legs))
-    return Operator(fld.eye(n), tuple(legs))
-
-
 def matrix_unit(fld, i: int, j: int, dim: int = 4) -> np.ndarray:
     """E_{ij}: 1 in row i, column j (1-based labels)."""
     out = fld.zeros((dim, dim))
     out[i - 1, j - 1] = fld.one
     return out
-
-
-def kron(a: Operator, b: Operator) -> Operator:
-    return Operator(np.kron(a.mat, b.mat), a.legs + b.legs)
 
 
 def apply_at_legs(op: Operator, pos: int, legs,
@@ -353,10 +345,14 @@ def column_space(mat) -> SubspaceBasis:
 def exact_solve(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Solve a*S = y exactly for full-column-rank a.
 
-    Raises ValueError naming the first inconsistent right-hand-side
-    column when y is not in the column space of a.
+    Raises ValueError when y does not have a's row count, and naming the
+    first inconsistent right-hand-side column when y is not in the
+    column space of a.
     """
     m, k = a.shape
+    if y.shape[0] != m:
+        raise ValueError(f"right-hand side has {y.shape[0]} rows, the "
+                         f"matrix {m}")
     r = y.shape[1]
     rows = [list(a[i]) + list(y[i]) for i in range(m)]
     pivot_of_col = {}
@@ -407,52 +403,34 @@ def exact_inverse(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # restriction to invariant subspaces
 
-def _matmul_at_leg(mat: np.ndarray, k: int, arr: np.ndarray) -> np.ndarray:
-    """mat applied along axis k of arr, viewed as (pre, m, post); no copy
-    of arr is made."""
-    pre = math.prod(arr.shape[:k])
-    out = np.matmul(mat, arr.reshape(pre, arr.shape[k], -1))
-    return out.reshape(arr.shape[:k] + (mat.shape[0],) + arr.shape[k + 1:])
+def restrict_action(basis: SubspaceBasis, action: np.ndarray,
+                    tol: float = INVARIANCE_TOL):
+    """Given the columns action = M*B of an operator M on the basis B of a
+    subspace, solve B*S = M*B.
 
-
-def restrict_action(bases, action: np.ndarray, tol: float = INVARIANCE_TOL):
-    """Given the columns action = M*B with B = kron(B_1, ..., B_k), solve
-    B*S = M*B one tensor factor at a time.
-
-    bases is the sequence of factor bases B_1, ..., B_k; the rows of
-    action are ordered as their tensor product.  The kron is never
-    formed: numeric factors apply the left inverse pinv(B_i), computed
-    once per basis, along leg i; exact factors call exact_solve along
-    leg i, whose inconsistency error is the invariance test (the action
-    lies in span(B_1) (x) ... (x) span(B_k) exactly when every stage is
-    consistent).
+    Numeric bases apply their left inverse pinv(B), computed once per
+    basis; exact ones call exact_solve, whose inconsistency error is the
+    invariance test.
 
     Returns (S, relative residual), the residual being
-    ||B*S - action|| / max(||action||, ||B||) with ||B|| = prod ||B_i||.
-    Raises ValueError naming the worst offending column when the
-    subspace is not invariant: on the numeric backend, when the residual
-    does not pass tol, which math.inf leaves to non-finite residuals.
+    ||B*S - action|| / max(||action||, ||B||).  Raises ValueError when
+    action does not have B's row count, and naming the worst offending
+    column when the subspace is not invariant: on the numeric backend,
+    when the residual does not pass tol, which math.inf leaves to
+    non-finite residuals.
     """
-    cols = [b.columns for b in bases]
-    r = action.shape[1]
-    s = action.reshape(tuple(b.shape[0] for b in cols) + (r,))
-    if _is_exact(action) or any(_is_exact(b) for b in cols):
-        for k, b in enumerate(cols):
-            moved = np.moveaxis(s, k, 0)
-            y = exact_solve(b, moved.reshape(b.shape[0], -1))
-            s = np.moveaxis(y.reshape((b.shape[1],) + moved.shape[1:]), 0, k)
-        return s.reshape(-1, r), 0.0
-    for k, b in enumerate(bases):
-        s = _matmul_at_leg(b.left_inverse, k, s)
-    rebuilt = s
-    for k, b in enumerate(cols):
-        rebuilt = _matmul_at_leg(b, k, rebuilt)
-    delta = rebuilt.reshape(action.shape)
+    b = basis.columns
+    if action.shape[0] != basis.ambient:
+        raise ValueError(f"action has {action.shape[0]} rows, the basis "
+                         f"{basis.ambient}")
+    if _is_exact(action) or _is_exact(b):
+        return exact_solve(b, action), 0.0
+    s = matmul(basis.left_inverse, action)
+    delta = matmul(b, s)
     delta -= action
     # the action may legitimately vanish (chains have polynomial zeros),
     # so never normalize by the action norm alone
-    scale = max(frobenius(action), math.prod(frobenius(b) for b in cols),
-                1e-300)
+    scale = max(frobenius(action), frobenius(b), 1e-300)
     rel = frobenius(delta) / scale
     if not passes(rel, False, tol):
         col_norms = np.linalg.norm(delta, axis=0)
@@ -461,13 +439,13 @@ def restrict_action(bases, action: np.ndarray, tol: float = INVARIANCE_TOL):
             f"subspace is not invariant: column {worst} has relative "
             f"residual {col_norms[worst] / scale:.3e}"
         )
-    return s.reshape(-1, r), rel
+    return s, rel
 
 
 def restrict(m: Operator, basis: SubspaceBasis) -> Operator:
     """Matrix of m on the subspace, in the given basis."""
     action = matmul(m.mat, basis.columns)
-    s, _ = restrict_action((basis,), action)
+    s, _ = restrict_action(basis, action)
     return Operator(s, (basis.dim,))
 
 

@@ -216,7 +216,7 @@ def test_08_fusion_two_legs():
             block = np.kron(sp1.basis.columns, sp2.basis.columns)
             action = apply_chain(fld, tup, ps.x, Permutation.block_swap(2),
                                  block)
-            _, inv_res = restrict_action((SubspaceBasis(block),), action,
+            _, inv_res = restrict_action(SubspaceBasis(block), action,
                                          tol=1e-9)
             inv_worst = max(inv_worst, inv_res)
             inter = check_fused_intertwining(fld, 2, ps.u, ps.v, ps.x, sign,

@@ -227,13 +227,13 @@ class TestFusedSpaces:
                     target = fused_space(nf, n, lam * ps.x, sign).basis
                     twisted = _twisted_basis(nf, base, lam, n)
                     assert twisted.dim == target.dim
-                    _, rel = restrict_action((target,), twisted.columns)
+                    _, rel = restrict_action(target, twisted.columns)
                     assert rel < 1e-12, (n, sign, lam)
             # off the twist the spans differ; the q-antisymmetric space
             # does not depend on x, so only sign + can tell
             base = fused_space(nf, n, ps.x, 1).basis
             with pytest.raises(ValueError):
-                restrict_action((fused_space(nf, n, nf.q * ps.x, 1).basis,),
+                restrict_action(fused_space(nf, n, nf.q * ps.x, 1).basis,
                                 _twisted_basis(nf, base, 1 / nf.q, n).columns)
 
     def test_basis_columns_are_weight_homogeneous(self, nf, ps, ef,
@@ -284,7 +284,7 @@ class TestFusedSpaces:
         target = fused_space(ef, 2, ef.q * ef.x, 1).basis
         twisted = _twisted_basis(ef, base, ef.q, 2)
         assert twisted.dim == target.dim
-        assert restrict_action((target,), twisted.columns)[1] == 0.0
+        assert restrict_action(target, twisted.columns)[1] == 0.0
 
 
 def _kron_route(fld, n, u, v, x, sign):
@@ -298,14 +298,14 @@ def _kron_route(fld, n, u, v, x, sign):
                         gam.act(tuple(v * p for p in prof)))
     block = np.kron(sp1.basis.columns, sp2.basis.columns)
     action = apply_chain(fld, tup, x, Permutation.block_swap(n), block)
-    return restrict_action((SubspaceBasis(block),), action)[0]
+    return restrict_action(SubspaceBasis(block), action)[0]
 
 
 def _dense_staged_route(fld, n, u, v, x, sign):
     """The fused R-matrix by the dense staged route: the whole state
     kron(B(x), I_d), d*4^n rows by d^2 columns, carried through each
     stage S_p by apply_at_legs, then one restrict_action through
-    (I_d, B(q^n x))."""
+    B(q^n x) on the last n legs."""
     sp1 = fused_space(fld, n, x, sign)
     sp2 = fused_space(fld, n, fld.q_power(n) * x, sign)
     bases = ([sp1.basis]
@@ -317,19 +317,21 @@ def _dense_staged_route(fld, n, u, v, x, sign):
     a = concat_tuples(gam.act(tuple(u * p for p in prof)),
                       gam.act(tuple(v * p for p in prof)))
     cycle = Permutation([n] + list(range(n)))
-    four = SubspaceBasis(fld.eye(4))
     legs = [4] * n + [sp2.dim]
     state = np.kron(sp1.basis.columns, fld.eye(sp2.dim))
     for p in reversed(range(n)):
         lo, hi = bases[p], bases[p + 1]
         action = apply_chain(fld, (a[p],) + a[n:], fld.q_power(p) * x, cycle,
                              np.kron(fld.eye(4), hi.columns))
-        stage = restrict_action((lo, four), action)[0]
-        state = apply_at_legs(Operator(stage, (4, hi.dim)), p + 1, legs,
-                              state)
+        stage = restrict_action(lo, action.reshape(lo.ambient, -1))[0]
+        state = apply_at_legs(Operator(stage.reshape(4 * lo.dim, -1),
+                                       (4, hi.dim)), p + 1, legs, state)
         legs[p], legs[p + 1] = lo.dim, 4
-    return restrict_action((SubspaceBasis(fld.eye(sp1.dim)), sp2.basis),
-                           state)[0]
+    # move the first leg, the coordinates of B(x), behind the n vector legs
+    moved = np.moveaxis(state.reshape(sp1.dim, -1, state.shape[1]), 0, 1)
+    small = restrict_action(sp2.basis, moved.reshape(sp2.basis.ambient, -1))[0]
+    return np.moveaxis(small.reshape(sp2.dim, sp1.dim, -1), 0, 1).reshape(
+        sp1.dim * sp2.dim, -1)
 
 
 class TestFusedRMatrix:
@@ -499,17 +501,18 @@ class TestFusedYBE:
         vec = vector_weights()
 
         def planting(value):
-            def restrict_stage(bases, action):
-                stage, rel = restrict_action(bases, action)
-                lo, _ = bases
+            def restrict_stage(lo, action):
+                stage, rel = restrict_action(lo, action)
+                # the last vector leg rides along in the columns
                 n = round(math.log(lo.ambient, 4))
                 rows = product_weights(
                     (column_weights(lo.columns, (vec,) * n), vec))
-                cols = np.array(column_weights(action, (vec,) * (n + 1)))
+                cols = np.array(column_weights(
+                    action.reshape(4 * lo.ambient, -1), (vec,) * (n + 1)))
                 i, j = np.argwhere((rows[:, None] != cols).any(axis=-1))[0]
-                stage = stage.copy()
+                stage = stage.reshape(4 * lo.dim, -1).copy()
                 stage[i, j] = value(stage)
-                return stage, rel
+                return stage.reshape(lo.dim, -1), rel
 
             return restrict_stage
 

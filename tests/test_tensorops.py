@@ -3,8 +3,8 @@ import pytest
 
 from xrmatrix import (Operator, RationalFunction, apply_at_legs,
                       column_space, commutant_dimension, exact_inverse,
-                      exact_solve, identity, kron, matmul, matrix_unit,
-                      restrict, restrict_action, vector_rmatrix)
+                      exact_solve, matmul, matrix_unit, restrict,
+                      restrict_action, vector_rmatrix)
 from xrmatrix import tensorops
 from xrmatrix.tensorops import (SubspaceBasis, exact_all_zero,
                                 product_weights)
@@ -15,17 +15,17 @@ def _flat(i, j):
 
 
 def test_kron_of_identities(nf):
-    two = identity(nf, (2,))
-    assert np.array_equal(kron(two, two).mat, np.eye(4))
-    assert kron(two, two).legs == (2, 2)
+    two = nf.eye(2)
+    assert np.array_equal(np.kron(two, two), np.eye(4))
 
 
 def test_kron_elementary_action(nf):
-    op = kron(Operator(matrix_unit(nf, 2, 3), (4,)),
-              Operator(matrix_unit(nf, 4, 1), (4,)))
+    # the big-endian convention: E_23 (x) E_41 takes e_3 (x) e_1 to
+    # e_2 (x) e_4
+    mat = np.kron(matrix_unit(nf, 2, 3), matrix_unit(nf, 4, 1))
     vec = np.zeros(16, dtype=complex)
     vec[_flat(3, 1)] = 1.0
-    out = op.mat @ vec
+    out = mat @ vec
     expected = np.zeros(16, dtype=complex)
     expected[_flat(2, 4)] = 1.0
     assert np.allclose(out, expected)
@@ -44,18 +44,16 @@ def test_kron_associative_entries(nf, ef):
     # small-integer entries keep float products exact, so entrywise
     # equality (not mere closeness) is the right assertion
     rng = np.random.default_rng(1)
-    mats = [Operator(rng.integers(-4, 5, size=(2, 2)).astype(complex), (2,))
+    mats = [rng.integers(-4, 5, size=(2, 2)).astype(complex)
             for _ in range(3)]
-    left = kron(kron(mats[0], mats[1]), mats[2])
-    right = kron(mats[0], kron(mats[1], mats[2]))
-    assert np.array_equal(left.mat, right.mat)
-    assert left.legs == right.legs == (2, 2, 2)
+    left = np.kron(np.kron(mats[0], mats[1]), mats[2])
+    right = np.kron(mats[0], np.kron(mats[1], mats[2]))
+    assert np.array_equal(left, right)
     # exact backend: associativity of the scalar ring itself
-    a = Operator(np.array([[ef.q, ef.one], [ef.zero, ef.x]], dtype=object),
-                 (2,))
-    lhs = kron(kron(a, a), a)
-    rhs = kron(a, kron(a, a))
-    assert all((p - q_).is_zero for p, q_ in zip(lhs.mat.flat, rhs.mat.flat))
+    a = np.array([[ef.q, ef.one], [ef.zero, ef.x]], dtype=object)
+    lhs = np.kron(np.kron(a, a), a)
+    rhs = np.kron(a, np.kron(a, a))
+    assert all((p - q_).is_zero for p, q_ in zip(lhs.flat, rhs.flat))
 
 
 def _kron_embedded(mat, pos, legs, eye):
@@ -67,7 +65,7 @@ def _kron_embedded(mat, pos, legs, eye):
 
 def test_embed_identity(nf):
     block = np.random.default_rng(1).normal(size=(64, 3)) + 0j
-    out = apply_at_legs(identity(nf, (4, 4)), 1, (4, 4, 4), block)
+    out = apply_at_legs(Operator(nf.eye(16), (4, 4)), 1, (4, 4, 4), block)
     assert np.array_equal(out, block)
 
 
@@ -114,7 +112,7 @@ def test_embed_dimension_mismatch(nf):
     block = np.eye(64, dtype=complex)
     with pytest.raises(ValueError, match="do not match"):
         apply_at_legs(r, 1, (4, 4, 4), block)
-    square = identity(nf, (4, 4))
+    square = Operator(nf.eye(16), (4, 4))
     with pytest.raises(ValueError, match="out of range"):
         apply_at_legs(square, 3, (4, 4, 4), block)
     with pytest.raises(ValueError, match="rows"):
@@ -190,83 +188,32 @@ def test_restrict_consistency_residual(nf):
     assert np.linalg.norm(mat @ cols - cols @ out.mat) < 1e-9
 
 
-def _numeric_factors(rng):
-    # unequal leg sizes, so a solve along the wrong axis cannot pass;
-    # the zero last row of b1 leaves room outside span(b1)
-    b1 = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-    b1[3] = 0
-    b2 = rng.normal(size=(3, 1)) + 1j * rng.normal(size=(3, 1))
-    s0 = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
-    return b1, b2, s0
+def test_restrict_action_row_count_must_match(ef):
+    basis = SubspaceBasis(np.eye(4, dtype=complex)[:, :2])
+    with pytest.raises(ValueError, match="action has 8 rows, the basis 4"):
+        restrict_action(basis, np.zeros((8, 1), dtype=complex))
+    # an extra row outside the span must not be dropped
+    a = ef.zeros((2, 1))
+    a[0, 0] = ef.one
+    y = ef.zeros((3, 1))
+    y[0, 0], y[2, 0] = ef.q, ef.one
+    with pytest.raises(ValueError, match="action has 3 rows, the basis 2"):
+        restrict_action(SubspaceBasis(a), y)
 
 
-def test_factored_restriction_matches_kron(nf):
-    rng = np.random.default_rng(8)
-    for _ in range(3):
-        b1, b2, s0 = _numeric_factors(rng)
-        block = np.kron(b1, b2)
-        action = block @ s0
-        two, rel = restrict_action((SubspaceBasis(b1), SubspaceBasis(b2)),
-                                   action)
-        one, _ = restrict_action((SubspaceBasis(block),), action)
-        assert np.linalg.norm(two - one) <= 1e-12 * np.linalg.norm(one)
-        assert np.linalg.norm(two - s0) <= 1e-12 * np.linalg.norm(s0)
-        assert rel < 1e-12
-
-
-def test_factored_restriction_outside_span_names_column(nf):
-    rng = np.random.default_rng(9)
-    b1, b2, s0 = _numeric_factors(rng)
-    bases = (SubspaceBasis(b1), SubspaceBasis(b2))
-    w = rng.normal(size=3) + 0j
-    w -= b2[:, 0] * (b2[:, 0].conj() @ w) / (b2[:, 0].conj() @ b2[:, 0])
-    leg1 = np.kron(np.eye(4)[3], rng.normal(size=3))   # outside span(b1)
-    leg2 = np.kron(b1[:, 0], w)                         # outside span(b2)
-    for col, bad in ((2, leg1), (4, leg2)):
-        action = np.kron(b1, b2) @ s0
-        action[:, col] += bad
-        with pytest.raises(ValueError, match=f"column {col} "):
-            restrict_action(bases, action)
-
-
-def _exact_factors(ef):
-    b1 = ef.zeros((3, 2))
-    b1[0, 0], b1[1, 0], b1[1, 1] = ef.q, ef.one, ef.x
-    b2 = ef.zeros((2, 1))
-    b2[0, 0], b2[1, 0] = ef.one, ef.q + ef.x
+def test_exact_restriction_outside_span_raises(ef):
+    b = ef.zeros((3, 2))
+    b[0, 0], b[1, 0], b[1, 1] = ef.q, ef.one, ef.x
     s0 = ef.zeros((2, 3))
     s0[0, 0], s0[1, 0], s0[0, 2] = ef.u, ef.from_int(3), ef.q * ef.v
     s0[1, 1] = ef.x - ef.one
-    return b1, b2, s0
-
-
-def test_exact_factored_restriction_matches_kron(ef):
-    b1, b2, s0 = _exact_factors(ef)
-    block = np.kron(b1, b2)
-    action = block @ s0
-    two, rel = restrict_action((SubspaceBasis(b1), SubspaceBasis(b2)),
-                               action)
-    one, _ = restrict_action((SubspaceBasis(block),), action)
+    action = np.dot(b, s0)
+    got, rel = restrict_action(SubspaceBasis(b), action)
     assert rel == 0.0
-    assert two.shape == one.shape == s0.shape
-    assert all(a == b for a, b in zip(two.flat, one.flat))
-    assert all(a == b for a, b in zip(two.flat, s0.flat))
-
-
-def test_exact_factored_restriction_outside_span_raises(ef):
-    b1, b2, s0 = _exact_factors(ef)
-    bases = (SubspaceBasis(b1), SubspaceBasis(b2))
-    e3 = ef.zeros(3)
-    e3[2] = ef.one
-    w = ef.zeros(2)
-    w[0] = ef.q
-    leg1 = np.kron(e3, b2[:, 0])        # outside span(b1)
-    leg2 = np.kron(b1[:, 1], w)         # outside span(b2)
-    for bad in (leg1, leg2):
-        action = np.kron(b1, b2) @ s0
-        action[:, 1] = action[:, 1] + bad
-        with pytest.raises(ValueError, match="outside the span"):
-            restrict_action(bases, action)
+    assert all(a_ == b_ for a_, b_ in zip(got.flat, s0.flat))
+    action[2, 1] = ef.one               # e_3 is outside span(b)
+    with pytest.raises(ValueError, match="outside the span"):
+        restrict_action(SubspaceBasis(b), action)
 
 
 def test_commutant_dimensions(nf):
@@ -293,6 +240,20 @@ def test_exact_solve_inconsistent_raises(ef):
     y[1, 0] = ef.q
     with pytest.raises(ValueError, match="outside the span"):
         exact_solve(a, y)
+
+
+def test_exact_solve_row_count_must_match(ef):
+    # y's third row lies outside the span of a: reading only the first
+    # two rows would return [[q]]
+    a = ef.zeros((2, 1))
+    a[0, 0] = ef.one
+    y = ef.zeros((3, 1))
+    y[0, 0], y[2, 0] = ef.q, ef.one
+    with pytest.raises(ValueError,
+                       match="right-hand side has 3 rows, the matrix 2"):
+        exact_solve(a, y)
+    with pytest.raises(ValueError, match="has 1 rows, the matrix 2"):
+        exact_solve(a, y[:1])
 
 
 def test_exact_column_space(ef):
