@@ -14,7 +14,7 @@ import sys
 
 from .cartan import cartan_json
 from .fusion import (FusedDimensionError, fused_restriction, fused_space,
-                     fusion_constant, symmetrizer)
+                     fused_zeros, fusion_constant, symmetrizer)
 from .reports import basis_to_json, dump, matrix_to_json
 from .rmatrix import vector_rmatrix, vector_rmatrix_spectral
 from .scalars import ExactField, NumericField
@@ -28,6 +28,12 @@ from .suite import CHECKS, LEVELS, SuiteConfig, run_suite
 # in-sector entries of its state, at most 0.23M of them at n = 5.  Rows
 # of the check table with a lower max_n lower it further.
 _MAX_N = 5
+
+# how near, relative to q^(2k), a ratio of two given --u --v --w may come
+# to a zero of the fused R-matrix (fusion.fused_zeros) before it is
+# refused; at q = 2, n = 3, sign - the YBE fails falsely at 1e-7 of the
+# zero and passes at 4.8e-9 against its 1e-8 tolerance at 1e-6
+_ZERO_RATIO_TOL = 1e-5
 
 
 def parse_complex(text: str) -> complex:
@@ -276,6 +282,26 @@ _COMMANDS = {
 }
 
 
+def _refuse_fused_zeros(parser, args):
+    """A one-line usage error when two of the given --u --v --w have the
+    ratio of a zero of the fused R-matrix, at the q of any sample the
+    command runs: there it vanishes identically, which leaves both YBE
+    sides at rounding noise."""
+    cfg = _config(args)
+    opts = vars(args)
+    given = [k for k in "uvw" if opts.get(k) is not None]
+    for seed in cfg.seeds():
+        q = cfg.params(seed).q
+        for k1, k2 in itertools.combinations(given, 2):
+            for k in fused_zeros(args.n, cfg.sign):
+                zero = q ** (2 * k) * opts[k2]
+                if abs(opts[k1] - zero) <= _ZERO_RATIO_TOL * abs(zero):
+                    parser.exit(2, f"{parser.prog}: error: {args.command}: "
+                                f"--{k1}/--{k2} is q^{2 * k}, where the fused "
+                                f"R-matrix vanishes at --n {args.n} --sign "
+                                f"{args.sign}\n")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(
@@ -288,15 +314,8 @@ def main(argv=None) -> int:
                 parser.error(f"verify {args.level}: {c.name} needs "
                              f"--n <= {c.max_n}")
     if (args.command in ("check-dynamical", "fusion-report")
-            or opts.get("level") == "fused") and args.n >= 2:
-        # the unnormalised fused R-matrix vanishes identically at u = v,
-        # which leaves both YBE sides at rounding noise
-        given = [k for k in "uvw" if opts.get(k) is not None]
-        for k1, k2 in itertools.combinations(given, 2):
-            if opts[k1] == opts[k2]:
-                parser.error(f"{args.command}: --{k1} equals --{k2}; the "
-                             f"fused R-matrix vanishes at {k1} = {k2} for "
-                             f"--n >= 2")
+            or opts.get("level") == "fused"):
+        _refuse_fused_zeros(parser, args)
     if opts.get("backend") == "exact":
         given = [f"--{k}" for k in "quvwxy" if opts.get(k) is not None]
         if given:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,11 +32,11 @@ from .reports import CheckReport, scalar_to_json
 from .rmatrix import (RMatrixBuilder, _intertwining_report,
                       check_twisted_ybe, vector_rmatrix)
 from .superalgebra import _ALL_TAGS, LocalRep, ProductRep, tuple_rep
-from .tensorops import (INVARIANCE_TOL, Operator, SubspaceBasis, _is_exact,
-                        apply_at_legs, column_space, column_weights,
-                        exact_solve, frobenius, matmul, max_term_count,
-                        passes, product_weights, residual, restrict,
-                        restrict_action)
+from .tensorops import (INVARIANCE_TOL, Operator, SubspaceBasis, _Gather,
+                        _is_exact, _read_only, apply_at_legs, column_space,
+                        column_weights, exact_solve, frobenius, matmul,
+                        max_term_count, passes, product_weights, residual,
+                        restrict, restrict_action)
 
 _MAX_SYMMETRIC_GROUP = 6
 
@@ -266,10 +266,14 @@ def check_fusion_constant(fld, n: int, x, sign: int, u_probes, x_probes,
 @dataclass(frozen=True)
 class FusedSpace:
     """Image of the normalized symmetrizer inside the n-fold tensor space,
-    with the (K_1, K_3) weight of each basis vector."""
+    with the (K_1, K_3) weight of each basis vector.  twisted holds the
+    bases of the fused spaces at q^p x, p = 1, ..., n-1, twisted from
+    this one, once fused_restriction has made them, so that each
+    computes its left inverse once."""
 
     basis: SubspaceBasis
     weights: tuple
+    twisted: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -325,27 +329,6 @@ def _twisted_basis(fld, basis: SubspaceBasis, lam, n: int) -> SubspaceBasis:
 
 # ---------------------------------------------------------------------------
 # the restriction's index plans, one weight class at a time
-
-class _Gather:
-    """Places the entries src of a flat array at the positions dst of a
-    zero array of the given shape: a step's input, zero-padded to
-    (classes, states, contexts), or the fused R-matrix.  Plans are
-    shared through functools.cache, so their arrays are read-only."""
-
-    def __init__(self, shape: tuple, src: np.ndarray, dst: np.ndarray):
-        self.shape = shape
-        self.src, self.dst = _read_only(src), _read_only(dst)
-
-    def __call__(self, fld, flat: np.ndarray) -> np.ndarray:
-        out = fld.zeros(self.shape)
-        out.reshape(-1)[self.dst] = flat[self.src]
-        return out
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
 
 def _class_tables(*weights):
     """Weight classes shared by several lists of states, one weight row
@@ -487,7 +470,7 @@ def _solve_sectors(fld, solve: tuple, basis: SubspaceBasis, flat: np.ndarray):
     state leaves span(B): on the exact backend through exact_solve, on
     the numeric one when the residual does not pass INVARIANCE_TOL."""
     gather, rows, cols, entry_col, result = solve
-    state = gather(fld, flat)
+    state = gather(flat)
     # B takes the output states of the solve, its columns, to the input
     # states, its rows
     blocks = _blocks(basis.columns, cols, rows, fld.zero)
@@ -510,7 +493,7 @@ def _solve_sectors(fld, solve: tuple, basis: SubspaceBasis, flat: np.ndarray):
             raise ValueError(
                 f"subspace is not invariant: column {worst} has relative "
                 f"residual {norms[worst] / scale:.3e}")
-    return result(fld, sol.reshape(-1)), rel
+    return result(sol.reshape(-1)), rel
 
 
 def fused_restriction(fld, n: int, u, v, x, sign: int, spaces=None):
@@ -528,7 +511,9 @@ def fused_restriction(fld, n: int, u, v, x, sign: int, spaces=None):
     the chain's action is solved through B(q^p x) alone, its last vector
     leg riding along as extra columns.  A last solve through B(q^n x)
     finishes.  The spaces at q x, ..., q^(n-1) x are twisted from the
-    one at x (_twisted_basis); only the pair is built from symmetrizers.
+    one at x (_twisted_basis), once per space (FusedSpace.twisted), so
+    their left inverses carry over to the next build from that space;
+    only the pair is built from symmetrizers.
 
     Every stage conserves the joint (K_1, K_3) weight, so each column of
     the state, a pair of fused basis vectors, lives on the states of its
@@ -550,10 +535,10 @@ def fused_restriction(fld, n: int, u, v, x, sign: int, spaces=None):
         spaces = (fused_space(fld, n, x, sign),
                   fused_space(fld, n, fld.q_power(n) * x, sign))
     sp1, sp2 = spaces
-    bases = ([sp1.basis]
-             + [_twisted_basis(fld, sp1.basis, fld.q_power(p), n)
-                for p in range(1, n)]
-             + [sp2.basis])
+    if not sp1.twisted:
+        sp1.twisted.extend(_twisted_basis(fld, sp1.basis, fld.q_power(p), n)
+                           for p in range(1, n))
+    bases = [sp1.basis, *sp1.twisted, sp2.basis]
     gam = Permutation.reversal(n)
     prof = q_profile(fld, n, sign)
     a = concat_tuples(gam.act(tuple(u * p for p in prof)),
@@ -571,7 +556,7 @@ def fused_restriction(fld, n: int, u, v, x, sign: int, spaces=None):
         worst = max(worst, rel)
         off = max(off, residual(stage[outside], [stage]))
         flat = matmul(_blocks(stage, rows, cols, fld.zero),
-                      gather(fld, flat)).reshape(-1)
+                      gather(flat)).reshape(-1)
     # block 1, now on the last n legs, lies in the fused space at q^n x
     small, rel = _solve_sectors(fld, solve, sp2.basis, flat)
     return (Operator(small, (sp1.dim, sp2.dim), (sp1.weights, sp2.weights)),
@@ -581,6 +566,15 @@ def fused_restriction(fld, n: int, u, v, x, sign: int, spaces=None):
 def fused_rmatrix(fld, n: int, u, v, x, sign: int, spaces=None) -> Operator:
     """The fused R-matrix: fused_restriction without its residuals."""
     return fused_restriction(fld, n, u, v, x, sign, spaces)[0]
+
+
+def fused_zeros(n: int, sign: int) -> range:
+    """The k for which the fused R-matrix R(u, v) vanishes identically at
+    u/v = q^(2k): k = -(n-1), ..., n-2 for sign + and -(n-2), ..., n-1
+    for sign -, so none at n = 1; k = 0 is u = v.  Found by a numeric
+    scan at n = 2-4 and checked in the tests at n = 2, 3.  There both
+    YBE sides are rounding noise, so the check would fail falsely."""
+    return range(1 - n, n - 1) if sign > 0 else range(2 - n, n)
 
 
 def fused_builder(fld, n: int, sign: int, residuals: list) -> RMatrixBuilder:

@@ -9,6 +9,7 @@ are cross-checked entrywise on both backends.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -17,11 +18,10 @@ import numpy as np
 
 from .cartan import theta, vector_weights
 from .reports import CheckReport
-from .scalars import _RF_ZERO
 from .superalgebra import GENERATORS, tensor_square_bases, tuple_rep
-from .tensorops import (Operator, _is_exact, exact_inverse, frobenius,
-                        matmul, max_term_count, passes, product_weights,
-                        residual)
+from .tensorops import (Operator, _Gather, _is_exact, _read_only,
+                        exact_inverse, frobenius, matmul, max_term_count,
+                        passes, product_weights, residual)
 
 
 def tensor_projectors(fld, x):
@@ -164,26 +164,64 @@ def _labels(leg_weights) -> np.ndarray:
                      return_inverse=True)[1].ravel()
 
 
-def _sector_sides(mats):
-    """For each total weight sector of the three legs: its states, in
-    increasing flat index, and the sector blocks of the two sides
-    A_12 (B_23 C_12) and D_23 (E_12 F_23)."""
-    legs, weights = _ybe_legs(mats)
+@functools.cache
+def _sector_plan(weights):
+    """The contraction plan of ybe_residual for three legs whose basis
+    vectors carry the given weights; it depends on nothing else, so it
+    is cached.
+
+    Returns, for a factor at legs (1, 2) and at legs (2, 3), the mask of
+    its entries that change the total weight of its legs, and the
+    stacks.  The sectors are grouped by size; a stack holds up to
+    max(1, K^2 // k^2) sectors of k states, K the largest sector size,
+    so no stack has more entries than the largest sector.  Each stack is
+    its sectors' states, sector after sector and each in increasing flat
+    index, and for each position the gather of the embedded factor's
+    (count, k, k) sector blocks: only the entries where the spectator
+    leg agrees, every other entry of a block being zero.
+    """
+    legs = tuple(map(len, weights))
     label = _labels(weights)
     order = np.argsort(label, kind="stable")
-    zero = _RF_ZERO if _is_exact(mats[0].mat) else 0
-    for states in np.split(order, np.cumsum(np.bincount(label))[:-1]):
-        i1, i2, i3 = np.unravel_index(states, legs)
-        # the sector block of kron(X, I) at legs (1, 2) or kron(I, X) at
-        # legs (2, 3): X at the pair index it acts on, where the
-        # spectator leg agrees
-        embed = {1: (i1 * legs[1] + i2, i3), 2: (i2 * legs[2] + i3, i1)}
-        blocks = []
-        for op, pos in zip(mats, _YBE_POSITIONS):
-            pair, spectator = embed[pos]
-            blocks.append(np.where(spectator[:, None] == spectator,
-                                   op.mat[pair[:, None], pair], zero))
-        a, b, c, d, e, f = blocks
+    size = np.bincount(label)
+    start = np.cumsum(size) - size
+    largest = int(size.max())
+    off = tuple(_read_only(pair[:, None] != pair)
+                for pair in (_labels(weights[:2]), _labels(weights[1:])))
+    stacks = []
+    for k in sorted(set(size.tolist())):
+        sectors = np.flatnonzero(size == k)
+        per = max(1, largest ** 2 // k ** 2)
+        for chunk in np.split(sectors, range(per, len(sectors), per)):
+            states = order[start[chunk, None] + np.arange(k)]
+            i1, i2, i3 = np.unravel_index(states, legs)
+            shape = states.shape + (k,)
+            gathers = []
+            # the sector block of kron(X, I) at legs (1, 2) or kron(I, X)
+            # at legs (2, 3): X at the pair index it acts on, where the
+            # spectator leg agrees
+            for pair, spectator, width in (
+                    (i1 * legs[1] + i2, i3, legs[0] * legs[1]),
+                    (i2 * legs[2] + i3, i1, legs[1] * legs[2])):
+                dst = np.flatnonzero(spectator[:, :, None]
+                                     == spectator[:, None, :])
+                s, r, c = np.unravel_index(dst, shape)
+                gathers.append(_Gather(shape, pair[s, r] * width + pair[s, c],
+                                       dst))
+            stacks.append((_read_only(states.ravel()), tuple(gathers)))
+    return off, tuple(stacks)
+
+
+def _sector_sides(mats):
+    """For each stack of equal-size weight sectors of the three legs:
+    their states, sector after sector and each in increasing flat index,
+    and the stacked (count, k, k) sector blocks of the two sides
+    A_12 (B_23 C_12) and D_23 (E_12 F_23)."""
+    _, weights = _ybe_legs(mats)
+    flats = [op.mat.reshape(-1) for op in mats]
+    for states, gathers in _sector_plan(weights)[1]:
+        a, b, c, d, e, f = (gathers[pos - 1](flat)
+                            for flat, pos in zip(flats, _YBE_POSITIONS))
         yield states, matmul(a, matmul(b, c)), matmul(d, matmul(e, f))
 
 
@@ -199,7 +237,12 @@ def ybe_residual(mats, details: dict = None) -> float:
     X_s the sector block of the embedded factor.  That costs sum_s k_s^3
     multiply-adds against d^8 + d^7 for the dense sides (at fused n = 3,
     58 sectors of at most 126 states: 1.1e7 against 4.7e8), and no d^3 x
-    d^3 array is formed.  On the exact backend matmul forms only the
+    d^3 array is formed.  Which factor entries land where in X_s depends
+    only on the legs' weights, so a cached plan (_sector_plan) lists, for
+    each factor position, just the entries where the spectator leg
+    agrees, and each call scatters them into zero blocks; sectors of one
+    size are stacked, up to the largest sector's entry count, and go
+    through matmul together.  On the exact backend matmul forms only the
     products of two nonzero entries.
 
     The numeric residual is sqrt(sum_s ||rhs_s - lhs_s||^2) /
@@ -213,15 +256,15 @@ def ybe_residual(mats, details: dict = None) -> float:
     or max_terms, the largest term count of the exact sides' entries.
     """
     _, weights = _ybe_legs(mats)
-    # the entries of a factor that change the total weight of its legs
-    pair = {pos: _labels(weights[pos - 1:pos + 1]) for pos in (1, 2)}
-    off = max(residual(op.mat[pair[pos][:, None] != pair[pos]], [op.mat])
+    masks = _sector_plan(weights)[0]
+    off = max(residual(op.mat[masks[pos - 1]], [op.mat])
               for op, pos in zip(mats, _YBE_POSITIONS))
     exact = _is_exact(mats[0].mat)
-    res, terms, sizes = off, 0, []
+    res, terms, count, largest = off, 0, 0, 0
     lhs_sq = delta_sq = 0.0
-    for states, lhs, rhs in _sector_sides(mats):
-        sizes.append(len(states))
+    for _, lhs, rhs in _sector_sides(mats):
+        count += len(lhs)
+        largest = max(largest, lhs.shape[-1])
         if exact:
             terms = max(terms, max_term_count(lhs, rhs))
             res = max(res, residual(rhs - lhs))
@@ -232,7 +275,7 @@ def ybe_residual(mats, details: dict = None) -> float:
     if not exact:
         res = max(res, math.sqrt(delta_sq) / max(math.sqrt(lhs_sq), 1e-300))
     if details is not None:
-        details["sectors"] = {"count": len(sizes), "largest": max(sizes)}
+        details["sectors"] = {"count": count, "largest": largest}
         if exact:
             details["max_terms"] = terms
         else:

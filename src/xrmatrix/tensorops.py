@@ -17,9 +17,12 @@ invariant subspace through one basis of that subspace.
 An operator may carry the weight of each basis vector of each leg.  The
 R-matrices conserve the total weight, so on three legs they are block
 diagonal over the weight sectors, and the YBE sides are contracted one
-sector at a time (rmatrix.ybe_residual); product_weights gives the
-weight of every basis state of a tensor product, and column_weights that
-of each column of a weight-homogeneous basis.
+sector at a time, sectors of one size stacked so that one matmul call
+serves the whole stack on either backend (rmatrix.ybe_residual);
+product_weights gives the weight of every basis state of a tensor
+product, and column_weights that of each column of a weight-homogeneous
+basis.  The index plans of those sector routes depend only on weights,
+are cached, and hold read-only arrays (_read_only).
 """
 
 from __future__ import annotations
@@ -41,6 +44,33 @@ INVARIANCE_TOL = 1e-9
 
 def _is_exact(mat: np.ndarray) -> bool:
     return mat.dtype == object
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """arr, made read-only: index plans are shared through
+    functools.cache."""
+    arr.flags.writeable = False
+    return arr
+
+
+class _Gather:
+    """Places the entries src of a flat array at the positions dst of a
+    zero array of the given shape, on either backend: a sector block
+    stack of a YBE factor, a restriction step's zero-padded input, or the
+    fused R-matrix.  Plans share their gathers through functools.cache,
+    so src and dst are read-only, each in the smallest unsigned type
+    that holds it to keep the cached plans small."""
+
+    def __init__(self, shape: tuple, src: np.ndarray, dst: np.ndarray):
+        self.shape = shape
+        self.src, self.dst = (_read_only(idx.astype(np.min_scalar_type(
+            int(idx.max(initial=0))))) for idx in (src, dst))
+
+    def __call__(self, flat: np.ndarray) -> np.ndarray:
+        out = np.full(self.shape, _RF_ZERO if _is_exact(flat) else 0,
+                      dtype=flat.dtype)
+        out.reshape(-1)[self.dst] = flat[self.src]
+        return out
 
 
 def frobenius(mat: np.ndarray) -> float:

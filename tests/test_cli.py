@@ -6,6 +6,7 @@ import pytest
 from xrmatrix import cli
 from xrmatrix.cartan import cartan_json
 from xrmatrix.cli import main, parse_complex
+from xrmatrix.fusion import fused_zeros
 from xrmatrix.scalars import sample_params
 
 
@@ -154,6 +155,43 @@ def test_usage_error_is_exit_2(capsys, monkeypatch):
         assert main(argv) == 0, argv
     assert ran == ["verify", "verify", "check-ybe", "check-ybe", "check-ybe",
                    "check-dynamical"]
+
+
+def test_fused_zero_ratios_are_exit_2(capsys, monkeypatch):
+    # a ratio of two given --u --v --w at a zero of the fused R-matrix is
+    # one line and exit 2; the ratios next to the zeros still run
+    ran = []
+    for name in cli._COMMANDS:
+        monkeypatch.setitem(cli._COMMANDS, name,
+                            lambda args: ran.append(args.command) or 0)
+    for n in (2, 3):
+        for sign, sg in (("plus", 1), ("minus", -1)):
+            for k in range(-n, n + 1):
+                argv = ["check-ybe", "--level", "fused", "--n", str(n),
+                        "--sign", sign, "--q", "2", "--u", str(1.3 * 4 ** k),
+                        "--v", "1.3", "--w", "0.7"]
+                if k not in fused_zeros(n, sg):
+                    assert main(argv) == 0, argv
+                    continue
+                with pytest.raises(SystemExit) as err:
+                    main(argv)
+                assert err.value.code == 2, argv
+                assert capsys.readouterr().err == (
+                    f"xrmatrix: error: check-ybe: --u/--v is q^{2 * k}, where "
+                    f"the fused R-matrix vanishes at --n {n} --sign "
+                    f"{sign}\n"), argv
+    assert ran == ["check-ybe"] * 12
+    q = sample_params(7).q
+    for argv in (["check-dynamical", "--n", "3", "--sign", "minus", "--q",
+                  "2", "--v", "1", "--w", "0.0625"],
+                 ["fusion-report", "--q", "2", "--u", "1", "--v", "4"],
+                 # q sampled at the first of the three seeds
+                 ["check-ybe", "--level", "fused", "--u",
+                  f"{(q ** -2).real},{(q ** -2).imag}", "--w", "1"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
+        assert len(capsys.readouterr().err.splitlines()) == 1, argv
 
 
 def test_wrong_fused_dimension_is_exit_2(capsys):

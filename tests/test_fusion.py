@@ -361,6 +361,24 @@ class TestFusedRMatrix:
         assert got.shape == ref.shape == (64, 64)
         assert all(a == b for a, b in zip(got.flat, ref.flat))
 
+    @pytest.mark.parametrize("sign", (1, -1))
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_zeros_are_the_listed_ratios(self, nf, ps, n, sign):
+        # R(u, v) at u/v = q^(2k) against R at a ratio 1e-3 away: at a
+        # zero only rounding noise is left, elsewhere the two are alike
+        spaces = (fused_space(nf, n, ps.x, sign),
+                  fused_space(nf, n, nf.q_power(n) * ps.x, sign))
+        zeros = []
+        for k in range(-n, n + 1):
+            at, near = (np.linalg.norm(fused_rmatrix(
+                nf, n, ps.v * nf.q_power(2 * k) * t, ps.v, ps.x, sign,
+                spaces).mat) for t in (1, 1 + 1e-3))
+            if at < 1e-6 * near:
+                zeros.append(k)
+            else:
+                assert at > 0.5 * near, k
+        assert zeros == list(fusion.fused_zeros(n, sign))
+
     def test_single_leg_degenerates_to_elementary(self, nf, ps):
         fused = fused_rmatrix(nf, 1, ps.u, ps.v, ps.x, 1)
         assert np.allclose(fused.mat, vector_rmatrix(nf, ps.u, ps.v, ps.x).mat)

@@ -30,8 +30,11 @@ def _assembled_sides(mats, zeros):
     lhs, rhs = zeros((n, n)), zeros((n, n))
     seen = []
     for states, lhs_s, rhs_s in _sector_sides(mats):
-        lhs[np.ix_(states, states)] = lhs_s
-        rhs[np.ix_(states, states)] = rhs_s
+        # a stack of equal-size sectors, their states one after another
+        for sector, lhs_k, rhs_k in zip(states.reshape(len(lhs_s), -1),
+                                        lhs_s, rhs_s):
+            lhs[np.ix_(sector, sector)] = lhs_k
+            rhs[np.ix_(sector, sector)] = rhs_k
         seen += states.tolist()
     assert sorted(seen) == list(range(n))
     return lhs, rhs
@@ -272,6 +275,49 @@ class TestSectorSides:
         assert report.details["max_terms"] == 19
         assert report.details["sectors"] == {"count": 16, "largest": 9}
         assert "off_sector" not in report.details
+
+    def test_equal_size_sectors_match_kron(self, ef):
+        # legs (3, 4, 3) with nine sectors of one state, ten of two, one
+        # of three and one of four: the ten are stacked four, four and
+        # two, so a mix-up between the sectors of a stack would show
+        weights = (((2, 0), (0, 0), (0, 2)),
+                   ((2, 1), (0, 0), (0, 1), (1, 1)),
+                   ((0, 0), (2, 2), (0, 0)))
+        rng = np.random.default_rng(11)
+
+        def graded(values, zero):
+            # random, non-symmetric factors without off-sector entries
+            out = []
+            for pos, mat in zip((1, 2, 1, 2, 1, 2), values):
+                ws = weights[pos - 1:pos + 1]
+                pair = product_weights(ws)
+                mat[(pair[:, None] != pair[None]).any(axis=-1)] = zero
+                out.append(Operator(mat, tuple(map(len, ws)), ws))
+            return out
+
+        mats = graded([rng.normal(size=(12, 12))
+                       + 1j * rng.normal(size=(12, 12)) for _ in range(6)],
+                      0)
+        assert [lhs.shape for _, lhs, _ in _sector_sides(mats)] == [
+            (9, 1, 1), (4, 2, 2), (4, 2, 2), (2, 2, 2), (1, 3, 3),
+            (1, 4, 4)]
+        refs = _kron_sides(mats, np.eye(3))
+        outs = _assembled_sides(mats, lambda shape: np.zeros(shape, complex))
+        for out, ref in zip(outs, refs):
+            assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+        lhs, rhs = refs
+        expected = np.linalg.norm(rhs - lhs) / np.linalg.norm(lhs)
+        details = {}
+        assert ybe_residual(mats, details) == pytest.approx(expected,
+                                                            rel=1e-12)
+        assert details["sectors"] == {"count": 21, "largest": 4}
+        exact = graded([np.vectorize(lambda k: ef.from_int(int(k)),
+                                     otypes=[object])(ints)
+                        for ints in rng.integers(-3, 4, size=(6, 12, 12))],
+                       ef.zero)
+        for out, ref in zip(_assembled_sides(exact, ef.zeros),
+                            _kron_sides(exact, ef.eye(3))):
+            assert _terms(out) == _terms(ref)
 
     def test_shift_controls_match_dense_route(self):
         # residuals of the deliberate failures as the dense d^3 x d^3
