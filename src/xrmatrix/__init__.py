@@ -9,7 +9,8 @@ over both a numeric and an exact rational-function scalar backend.
 
 from .cartan import bilinear, cartan_matrix, parity, simple_root, theta
 from .dynamical import DynamicalRMatrix, check_dynamical_ybe
-from .fusion import (FusedDimensionError, FusedSpace, Symmetrizer, apply_chain, chain_rmatrix,
+from .fusion import (FusedDimensionError, FusedSpace, FusedZeroError,
+                     Symmetrizer, apply_chain, chain_rmatrix,
                      check_fused_intertwining, check_fused_ybe,
                      check_fusion_constant, check_hecke_relations,
                      check_projector_commutation, fused_builder,

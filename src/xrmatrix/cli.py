@@ -14,7 +14,7 @@ import sys
 
 from .cartan import cartan_json
 from .fusion import (FusedDimensionError, fused_restriction, fused_space,
-                     fused_zeros, fusion_constant, symmetrizer)
+                     fused_zero, fusion_constant, symmetrizer)
 from .reports import basis_to_json, dump, matrix_to_json
 from .rmatrix import vector_rmatrix, vector_rmatrix_spectral
 from .scalars import ExactField, NumericField
@@ -28,12 +28,6 @@ from .suite import CHECKS, LEVELS, SuiteConfig, run_suite
 # in-sector entries of its state, at most 0.23M of them at n = 5.  Rows
 # of the check table with a lower max_n lower it further.
 _MAX_N = 5
-
-# how near, relative to q^(2k), a ratio of two given --u --v --w may come
-# to a zero of the fused R-matrix (fusion.fused_zeros) before it is
-# refused; at q = 2, n = 3, sign - the YBE fails falsely at 1e-7 of the
-# zero and passes at 4.8e-9 against its 1e-8 tolerance at 1e-6
-_ZERO_RATIO_TOL = 1e-5
 
 
 def parse_complex(text: str) -> complex:
@@ -291,15 +285,14 @@ def _refuse_fused_zeros(parser, args):
     opts = vars(args)
     given = [k for k in "uvw" if opts.get(k) is not None]
     for seed in cfg.seeds():
-        q = cfg.params(seed).q
+        fld = NumericField(cfg.params(seed).q)
         for k1, k2 in itertools.combinations(given, 2):
-            for k in fused_zeros(args.n, cfg.sign):
-                zero = q ** (2 * k) * opts[k2]
-                if abs(opts[k1] - zero) <= _ZERO_RATIO_TOL * abs(zero):
-                    parser.exit(2, f"{parser.prog}: error: {args.command}: "
-                                f"--{k1}/--{k2} is q^{2 * k}, where the fused "
-                                f"R-matrix vanishes at --n {args.n} --sign "
-                                f"{args.sign}\n")
+            k = fused_zero(fld, args.n, cfg.sign, opts[k1], opts[k2])
+            if k is not None:
+                parser.exit(2, f"{parser.prog}: error: {args.command}: "
+                            f"--{k1}/--{k2} is q^{2 * k}, where the fused "
+                            f"R-matrix vanishes at --n {args.n} --sign "
+                            f"{args.sign}\n")
 
 
 def main(argv=None) -> int:

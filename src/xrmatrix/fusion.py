@@ -44,6 +44,12 @@ _MAX_SYMMETRIC_GROUP = 6
 # and the reversal-chain proportionality must stay below
 GUARD_TOL = 1e-10
 
+# how near, relative to q^(2k) v, a numeric u may come to a zero of the
+# fused R-matrix (fused_zeros) before a build refuses it; at q = 2,
+# n = 3, sign - the YBE fails falsely at 1e-7 of the zero and passes at
+# 4.8e-9 against its 1e-8 tolerance at 1e-6
+ZERO_RATIO_TOL = 1e-5
+
 
 def q_profile(fld, n: int, sign: int):
     """(1, q^{-2s}, ..., q^{-2s(n-1)}) with s = +1, -1 per the sign."""
@@ -290,6 +296,16 @@ class FusedDimensionError(ValueError):
         self.n, self.sign, self.x, self.dim = n, sign, x, dim
 
 
+class FusedZeroError(ValueError):
+    """u/v is at a zero q^(2k) of the fused R-matrix (fused_zeros)."""
+
+    def __init__(self, n: int, sign: int, k: int):
+        super().__init__(
+            f"u/v is q^{2 * k}, where the fused R-matrix at n = {n}, sign "
+            f"{'+' if sign > 0 else '-'} vanishes")
+        self.n, self.sign, self.k = n, sign, k
+
+
 def fused_space(fld, n: int, x, sign: int,
                 sym: Symmetrizer = None) -> FusedSpace:
     """The fused space: the pivot columns of the normalized symmetrizer.
@@ -527,10 +543,14 @@ def fused_restriction(fld, n: int, u, v, x, sign: int, spaces=None):
     The entries of S_p that change the weight of its legs are left out;
     their share ||S_off|| / ||S_p|| (exact: inf if any is nonzero),
     worst over the stages, is returned as the off-sector share.  Raises
-    if a stage or the last solve is not invariant; the residual returned
-    is the worst over the stages, the last solve and the off-sector
-    share.
+    FusedZeroError when u/v is at a zero of R (fused_zero), and
+    ValueError if a stage or the last solve is not invariant; the
+    residual returned is the worst over the stages, the last solve and
+    the off-sector share.
     """
+    k = fused_zero(fld, n, sign, u, v)
+    if k is not None:
+        raise FusedZeroError(n, sign, k)
     if spaces is None:
         spaces = (fused_space(fld, n, x, sign),
                   fused_space(fld, n, fld.q_power(n) * x, sign))
@@ -575,6 +595,19 @@ def fused_zeros(n: int, sign: int) -> range:
     scan at n = 2-4 and checked in the tests at n = 2, 3.  There both
     YBE sides are rounding noise, so the check would fail falsely."""
     return range(1 - n, n - 1) if sign > 0 else range(2 - n, n)
+
+
+def fused_zero(fld, n: int, sign: int, u, v):
+    """The k of fused_zeros(n, sign) with u/v at q^(2k), or None.  On the
+    exact backend u - q^(2k) v must vanish exactly, on the numeric one
+    it must lie within ZERO_RATIO_TOL of q^(2k) v, relatively."""
+    exact = fld.backend == "exact"
+    for k in fused_zeros(n, sign):
+        zero = fld.q_power(2 * k) * v
+        gap = u - zero
+        if gap.is_zero if exact else abs(gap) <= ZERO_RATIO_TOL * abs(zero):
+            return k
+    return None
 
 
 def fused_builder(fld, n: int, sign: int, residuals: list) -> RMatrixBuilder:

@@ -81,31 +81,43 @@ def vector_rmatrix(fld, u, v, x) -> Operator:
 
 
 def check_forms_equal(fld, u, v, x, tol: float = 1e-12) -> CheckReport:
-    """Entrywise agreement of the two constructions."""
+    """Entrywise agreement of the two constructions; exact reports carry
+    details.max_terms, the largest term count among their entries."""
     explicit = vector_rmatrix(fld, u, v, x)
     spectral = vector_rmatrix_spectral(fld, u, v, x)
     res = residual(spectral.mat - explicit.mat, [explicit.mat])
     exact = fld.backend == "exact"
+    details = ({"max_terms": max_term_count(spectral.mat, explicit.mat)}
+               if exact else {})
     return CheckReport(name="r-forms-equal", residual=res,
-                       passed=passes(res, exact, tol), exact=exact)
+                       passed=passes(res, exact, tol), exact=exact,
+                       details=details)
 
 
 def _intertwining_report(fld, name: str, rmat: np.ndarray, rep_uv, rep_vu,
                          tol: float, **details) -> CheckReport:
     """R rep_uv(X) = rep_vu(X) R for all thirteen generators; details
-    gain the generator with the worst residual."""
+    gain the generator with the worst residual and, when exact,
+    max_terms, the largest term count among the compared entries."""
+    exact = fld.backend == "exact"
     worst = 0.0
     worst_gen = None
+    terms = 0
     for tag in GENERATORS:
         a = rep_uv.image(tag)
         b = rep_vu.image(tag)
-        res = residual(matmul(rmat, a) - matmul(b, rmat), [rmat, a])
+        lhs, rhs = matmul(rmat, a), matmul(b, rmat)
+        if exact:
+            terms = max(terms, max_term_count(lhs, rhs))
+        res = residual(lhs - rhs, [rmat, a])
         if res > worst or worst_gen is None:
             worst, worst_gen = max(worst, res), tag
-    exact = fld.backend == "exact"
+    details["worst_generator"] = worst_gen
+    if exact:
+        details["max_terms"] = terms
     return CheckReport(name=name, residual=worst,
                        passed=passes(worst, exact, tol), exact=exact,
-                       details={**details, "worst_generator": worst_gen})
+                       details=details)
 
 
 def check_intertwining(fld, r: Operator, u, v, x,

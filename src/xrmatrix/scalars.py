@@ -10,6 +10,16 @@ is ever computed.  Equality is decided by cross-multiplication
 (a/b == c/d  iff  a*d - c*b == 0).  The only normalizations applied are
 cheap ones: dropping zero terms, dividing out the integer content,
 cancelling a common monomial factor, and fixing the denominator sign.
+
+The arithmetic takes fast paths, none of which changes a result: every
+unreduced form keeps the terms, in the insertion order, that the plain
+term-by-term algorithm gives (evaluate sums the terms in that order).  A
+product with a one-term operand shifts the other operand's exponents in
+one pass, as no two of its products can meet or cancel; normalization
+finds the common monomial factor and the content in one call each, and
+skips the content and sign when the denominator is a monomial with
+coefficient 1; a - b subtracts directly rather than adding a negated
+copy; zero tests read the numerator's terms.
 """
 
 from __future__ import annotations
@@ -69,54 +79,61 @@ class LaurentPoly:
             s = out.get(e, 0) + c
             if s:
                 out[e] = s
-            elif e in out:
+            else:
                 del out[e]
-        res = LaurentPoly()
-        res.terms = out
-        return res
+        return _poly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = LaurentPoly()
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return _poly({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
             other = LaurentPoly.constant(other)
         elif not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self + (-other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            s = out.get(e, 0) - c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return _poly(out)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            if not other:
-                return LaurentPoly()
-            res = LaurentPoly()
-            res.terms = {e: c * other for e, c in self.terms.items()}
-            return res
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
+            if not isinstance(other, int):
+                return NotImplemented
+            return _poly({e: c * other for e, c in self.terms.items()}
+                         if other else {})
         a, b = self.terms, other.terms
         if not a or not b:
-            return LaurentPoly()
-        out: dict = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2],
-                     ea[3] + eb[3], ea[4] + eb[4])
-                s = out.get(e, 0) + ca * cb
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        res = LaurentPoly()
-        res.terms = out
-        return res
+            return _poly({})
+        out = {}
+        if len(a) == 1 or len(b) == 1:
+            # a monomial shifts the other operand's exponents injectively,
+            # so no two products meet and none cancels
+            if len(a) > 1:
+                a, b = b, a
+            ((a0, a1, a2, a3, a4), ca), = a.items()
+            for (b0, b1, b2, b3, b4), cb in b.items():
+                out[a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4] = ca * cb
+        else:
+            b = [(*eb, cb) for eb, cb in b.items()]
+            for (a0, a1, a2, a3, a4), ca in a.items():
+                for b0, b1, b2, b3, b4, cb in b:
+                    e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4)
+                    s = out.get(e, 0) + ca * cb
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
+        return _poly(out)
 
     __rmul__ = __mul__
 
@@ -129,23 +146,12 @@ class LaurentPoly:
 
     __hash__ = None
 
-    def content(self) -> int:
-        """gcd of the coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self.terms.values():
-            g = gcd(g, c)
-            if g == 1:
-                return 1
-        return g
-
     def shift_exponents(self, delta) -> "LaurentPoly":
-        res = LaurentPoly()
-        res.terms = {
+        return _poly({
             (e[0] + delta[0], e[1] + delta[1], e[2] + delta[2],
              e[3] + delta[3], e[4] + delta[4]): c
             for e, c in self.terms.items()
-        }
-        return res
+        })
 
     def evaluate(self, point) -> complex:
         """Evaluate at a (q, u, v, w, x) tuple of complex numbers."""
@@ -179,8 +185,16 @@ class LaurentPoly:
     __repr__ = __str__
 
 
+def _poly(terms: dict) -> LaurentPoly:
+    """A LaurentPoly over terms as given: no zero coefficient is dropped."""
+    res = object.__new__(LaurentPoly)
+    res.terms = terms
+    return res
+
+
 _POLY_ZERO = LaurentPoly()
 _POLY_ONE = LaurentPoly.constant(1)
+_ONE_TERMS = _POLY_ONE.terms
 
 
 class RationalFunction:
@@ -189,30 +203,28 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly = _POLY_ONE):
-        if den.is_zero:
+        if not den.terms:
             raise ZeroDivisionError("zero denominator polynomial")
-        if num.is_zero:
+        if not num.terms:
             self.num = _POLY_ZERO
             self.den = _POLY_ONE
             return
         # cancel a common monomial factor and the integer content;
         # neither involves a multivariate gcd
-        lo = None
-        for e in num.terms:
-            lo = e if lo is None else tuple(map(min, lo, e))
-        for e in den.terms:
-            lo = tuple(map(min, lo, e))
+        lo = tuple(map(min, *num.terms, *den.terms))
         if any(lo):
             delta = tuple(-k for k in lo)
             num = num.shift_exponents(delta)
             den = den.shift_exponents(delta)
-        g = gcd(num.content(), den.content())
-        lead = max(den.terms)
-        if den.terms[lead] < 0:
-            g = -g
-        if g != 1:
-            num = LaurentPoly({e: c // g for e, c in num.terms.items()})
-            den = LaurentPoly({e: c // g for e, c in den.terms.items()})
+        dc = den.terms.values()
+        if len(dc) > 1 or 1 not in dc:
+            # a monomial denominator with coefficient 1 leaves g = 1
+            g = gcd(*num.terms.values(), *dc)
+            if den.terms[max(den.terms)] < 0:
+                g = -g
+            if g != 1:
+                num = _poly({e: c // g for e, c in num.terms.items()})
+                den = _poly({e: c // g for e, c in den.terms.items()})
         self.num = num
         self.den = den
 
@@ -226,7 +238,7 @@ class RationalFunction:
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self.num.terms
 
     def _coerce(self, other):
         if isinstance(other, RationalFunction):
@@ -241,12 +253,13 @@ class RationalFunction:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.is_zero:
+        if not isinstance(other, RationalFunction):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        if not self.num.terms:
             return other
-        if other.is_zero:
+        if not other.num.terms:
             return self
         if self.den.terms == other.den.terms:
             return RationalFunction(self.num + other.num, self.den)
@@ -264,23 +277,35 @@ class RationalFunction:
         return out
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero:
+        if not isinstance(other, RationalFunction):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        if not other.num.terms:
             return self
-        return self + (-other)
+        if not self.num.terms:
+            return -other
+        if self.den.terms == other.den.terms:
+            return RationalFunction(self.num - other.num, self.den)
+        return RationalFunction(
+            self.num * other.den - other.num * self.den,
+            self.den * other.den,
+        )
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.is_zero or other.is_zero:
+        if not isinstance(other, RationalFunction):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        if not self.num.terms or not other.num.terms:
             return _RF_ZERO
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        # a denominator 1 leaves the other one as it is
+        den = (other.den if self.den.terms == _ONE_TERMS else self.den
+               if other.den.terms == _ONE_TERMS else self.den * other.den)
+        return RationalFunction(self.num * other.num, den)
 
     __rmul__ = __mul__
 
@@ -316,7 +341,7 @@ class RationalFunction:
             return NotImplemented
         if self.num.terms == other.num.terms and self.den.terms == other.den.terms:
             return True
-        return (self.num * other.den - other.num * self.den).is_zero
+        return not (self.num * other.den - other.num * self.den).terms
 
     __hash__ = None
 

@@ -21,8 +21,8 @@ from .cartan import parity, root_pairing, theta, weight_pairing
 from .reports import CheckReport, scalar_to_json
 from .scalars import NumericField
 from .tensorops import (Operator, SubspaceBasis, matmul, matrix_rank,
-                        matrix_unit, passes, residual, restrict,
-                        restrict_action)
+                        matrix_unit, max_term_count, passes, residual,
+                        restrict, restrict_action)
 
 GENERATORS = ("s",) + tuple(f"K{i}" for i in range(4)) + \
     tuple(f"E{i}" for i in range(4)) + tuple(f"F{i}" for i in range(4))
@@ -185,50 +185,55 @@ def check_relations(rep, tol: float = 1e-10) -> CheckReport:
     Centrality is checked in the strong form: the two central elements
     must commute with all thirteen generator images and equal a scalar
     multiple of the identity; the scalars are recorded in the report.
+    Exact reports carry details.max_terms, the largest term count among
+    the compared entries.
     """
     fld = rep.field
     exact = fld.backend == "exact"
     eye = fld.eye(rep.dim)
     worst = 0.0
+    terms = 0
     failed = []
 
-    def note(name, delta, operands):
-        nonlocal worst
-        r = residual(delta, operands)
+    def note(name, lhs, rhs, operands):
+        nonlocal worst, terms
+        if exact:
+            terms = max(terms, max_term_count(lhs, rhs))
+        r = residual(lhs - rhs, operands)
         if not passes(r, exact, tol):
             failed.append(name)
         worst = max(worst, r)
 
     s = rep.image("s")
-    note("s^2=1", matmul(s, s) - eye, [s, s])
+    note("s^2=1", matmul(s, s), eye, [s, s])
     qdiff = fld.q - fld.one / fld.q
     for i in range(4):
         k, kinv = rep.image(f"K{i}"), rep.image(f"Kinv{i}")
         e, f = rep.image(f"E{i}"), rep.image(f"F{i}")
-        note(f"K{i} K{i}^-1=1", matmul(k, kinv) - eye, [k, kinv])
-        note(f"s K{i} s=K{i}", matmul(matmul(s, k), s) - k, [s, k, s])
+        note(f"K{i} K{i}^-1=1", matmul(k, kinv), eye, [k, kinv])
+        note(f"s K{i} s=K{i}", matmul(matmul(s, k), s), k, [s, k, s])
         sgn = fld.from_int((-1) ** parity(i))
-        note(f"s E{i} s", matmul(matmul(s, e), s) - e * sgn, [s, e, s])
-        note(f"s F{i} s", matmul(matmul(s, f), s) - f * sgn, [s, f, s])
+        note(f"s E{i} s", matmul(matmul(s, e), s), e * sgn, [s, e, s])
+        note(f"s F{i} s", matmul(matmul(s, f), s), f * sgn, [s, f, s])
         for j in range(4):
             kj = rep.image(f"K{j}")
             if j > i:
-                note(f"K{i} K{j} commute", matmul(k, kj) - matmul(kj, k),
+                note(f"K{i} K{j} commute", matmul(k, kj), matmul(kj, k),
                      [k, kj])
             ej, fj = rep.image(f"E{j}"), rep.image(f"F{j}")
             pair = root_pairing(i, j)
             note(f"K{i} E{j} K{i}^-1",
-                 matmul(matmul(k, ej), kinv) - ej * fld.q_power(pair),
+                 matmul(matmul(k, ej), kinv), ej * fld.q_power(pair),
                  [k, ej, kinv])
             note(f"K{i} F{j} K{i}^-1",
-                 matmul(matmul(k, fj), kinv) - fj * fld.q_power(-pair),
+                 matmul(matmul(k, fj), kinv), fj * fld.q_power(-pair),
                  [k, fj, kinv])
             if (i, j) in ((2, 0), (0, 2)):
                 continue
             br = super_bracket(fld, ej, f, parity(j), parity(i))
             rhs = (kj - rep.image(f"Kinv{j}")) * (fld.one / qdiff) \
                 if i == j else fld.zeros((rep.dim, rep.dim))
-            note(f"[E{j},F{i}]", br - rhs, [ej, f])
+            note(f"[E{j},F{i}]", br, rhs, [ej, f])
 
     central_scalars = []
     for name, kf, ea, fb in (("K2[E2,F0]", "K2", "E2", "F0"),
@@ -239,17 +244,19 @@ def check_relations(rep, tol: float = 1e-10) -> CheckReport:
         # normalize against the factors that built c: the central image
         # may be an algebraic zero, so |c| itself is no scale
         built_from = [rep.image(kf), rep.image(ea), rep.image(fb)]
-        note(f"{name} scalar", c - eye * scalar,
+        note(f"{name} scalar", c, eye * scalar,
              built_from if not exact else [])
         for g in GENERATORS:
             gi = rep.image(g)
-            note(f"{name} commutes with {g}", matmul(c, gi) - matmul(gi, c),
+            note(f"{name} commutes with {g}", matmul(c, gi), matmul(gi, c),
                  built_from + [gi] if not exact else [])
 
+    details = {"central_scalars": central_scalars, "failed": failed}
+    if exact:
+        details["max_terms"] = terms
     return CheckReport(
         name="relations", residual=worst, passed=passes(worst, exact, tol),
-        exact=exact,
-        details={"central_scalars": central_scalars, "failed": failed},
+        exact=exact, details=details,
     )
 
 
@@ -298,32 +305,38 @@ def check_tensor_square(fld, x, y, tol: float = 1e-10) -> CheckReport:
     worst invariance residual of each span (restrict_action's, relative
     to max(||M B||, ||B||); inf when an exact solve is inconsistent) and
     the joint rank, decided at the rank threshold of matrix_rank rather
-    than at tol.
+    than at tol.  Exact reports carry details.max_terms, the largest
+    term count among the generator actions and their restrictions.
     """
     reps = [vector_rep(fld, x), vector_rep(fld, y)]
     basis1, basis2 = tensor_square_bases(fld, x, y)
+    exact = fld.backend == "exact"
     res = [0.0, 0.0]
+    terms = 0
     for tag in FINITE_GENERATORS:
         m = coproduct_image(tag, reps)
         for k, basis in enumerate((basis1, basis2)):
+            action = matmul(m, basis.columns)
             try:
-                _, r = restrict_action(basis, matmul(m, basis.columns),
-                                       tol=math.inf)
+                s, r = restrict_action(basis, action, tol=math.inf)
             except ValueError:
                 # the exact solve is inconsistent: not invariant
-                r = math.inf
+                s, r = action, math.inf
             res[k] = max(res[k], r)
+            if exact:
+                terms = max(terms, max_term_count(action, s))
     res1, res2 = res
     joint = np.concatenate([basis1.columns, basis2.columns], axis=1)
     rank = matrix_rank(joint)
-    exact = fld.backend == "exact"
     passed = (passes(res1, exact, tol) and passes(res2, exact, tol)
               and rank == 16)
+    details = {"v1_residual": res1, "v2_residual": res2,
+               "joint_rank": int(rank)}
+    if exact:
+        details["max_terms"] = terms
     return CheckReport(
         name="tensor-square-split", residual=max(res1, res2), passed=passed,
-        exact=exact,
-        details={"v1_residual": res1, "v2_residual": res2,
-                 "joint_rank": int(rank)},
+        exact=exact, details=details,
     )
 
 

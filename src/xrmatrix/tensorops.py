@@ -78,7 +78,7 @@ def frobenius(mat: np.ndarray) -> float:
 
 
 def exact_all_zero(mat: np.ndarray) -> bool:
-    return all(s.is_zero for s in mat.flat)
+    return not any(s.num.terms for s in mat.flat)
 
 
 def residual(delta: np.ndarray, operands=()) -> float:
@@ -100,7 +100,7 @@ def residual(delta: np.ndarray, operands=()) -> float:
 def _nonzero_rows(mat) -> list:
     """Each row of a nested-list matrix as its (column, entry) pairs with
     a nonzero entry, in increasing column order."""
-    return [[(j, s) for j, s in enumerate(row) if not s.is_zero]
+    return [[(j, s) for j, s in enumerate(row) if s.num.terms]
             for row in mat]
 
 
@@ -316,7 +316,8 @@ def _term_count(s: RationalFunction) -> int:
 def max_term_count(*mats) -> int:
     """The largest num + den term count among the entries of exact
     matrices: how large the compared rational functions grew."""
-    return max((_term_count(s) for m in mats for s in m.flat), default=0)
+    return max((len(s.num.terms) + len(s.den.terms)
+                for m in mats for s in m.flat), default=0)
 
 
 def _exact_pivot_columns(mat: np.ndarray):
@@ -328,7 +329,7 @@ def _exact_pivot_columns(mat: np.ndarray):
     for j in range(n):
         best = None
         for i in range(r, m):
-            if not rows[i][j].is_zero:
+            if rows[i][j].num.terms:
                 if best is None or _term_count(rows[i][j]) < _term_count(rows[best][j]):
                     best = i
         if best is None:
@@ -338,11 +339,11 @@ def _exact_pivot_columns(mat: np.ndarray):
         pivot = rows[r][j]
         for i in range(r + 1, m):
             f = rows[i][j]
-            if f.is_zero:
+            if not f.num.terms:
                 continue
             ratio = f / pivot
             rows[i] = [
-                a - ratio * b if not b.is_zero else a
+                a - ratio * b if b.num.terms else a
                 for a, b in zip(rows[i], rows[r])
             ]
         r += 1
@@ -390,7 +391,7 @@ def exact_solve(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     for j in range(k):
         best = None
         for i in range(rank, m):
-            if not rows[i][j].is_zero:
+            if rows[i][j].num.terms:
                 if best is None or _term_count(rows[i][j]) < _term_count(rows[best][j]):
                     best = i
         if best is None:
@@ -402,17 +403,17 @@ def exact_solve(a: np.ndarray, y: np.ndarray) -> np.ndarray:
             if i == rank:
                 continue
             f = rows[i][j]
-            if f.is_zero:
+            if not f.num.terms:
                 continue
             rows[i] = [
-                c - f * p if not p.is_zero else c
+                c - f * p if p.num.terms else c
                 for c, p in zip(rows[i], rows[rank])
             ]
         pivot_of_col[j] = rank
         rank += 1
     for i in range(rank, m):
         for jj in range(r):
-            if not rows[i][k + jj].is_zero:
+            if rows[i][k + jj].num.terms:
                 raise ValueError(
                     f"inconsistent system: right-hand-side column {jj} "
                     "is outside the span"

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from xrmatrix import cli
+from xrmatrix import (ExactField, NumericField, check_fused_intertwining,
+                      check_intertwining, cli, vector_rmatrix)
 from xrmatrix.cartan import cartan_json
 from xrmatrix.cli import main, parse_complex
 from xrmatrix.fusion import fused_zeros
@@ -257,6 +258,29 @@ def test_exact_reports_carry_term_counts(capsys):
     _, out = run(capsys, "verify", "hecke", "--samples", "1")
     assert all("max_terms" not in r["details"]
                for r in map(json.loads, out.splitlines()))
+
+
+def test_every_exact_report_carries_term_counts(capsys):
+    # the exact relations, lemma1 and r-forms-equal reports, pinned
+    want = {"relations": 4, "lemma1": 3, "box-ybe": 19, "r-forms-equal": 42}
+    for level in ("relations", "lemma1", "box-ybe"):
+        code, out = run(capsys, "verify", level, "--backend", "exact")
+        assert code == 0, level
+        for r in map(json.loads, out.splitlines()):
+            assert r["details"]["max_terms"] == want.pop(r["check"]), level
+        _, out = run(capsys, "verify", level, "--samples", "1")
+        assert all("max_terms" not in r["details"]
+                   for r in map(json.loads, out.splitlines())), level
+    assert want == {}
+    # the intertwining checks reach the exact backend through the library
+    ef, nf = ExactField(), NumericField(sample_params(7).q)
+    for fld, u, v, x in ((ef, ef.u, ef.v, ef.x), (nf, 1.3, 0.7, 0.4)):
+        reports = [check_intertwining(fld, vector_rmatrix(fld, u, v, x), u,
+                                      v, x),
+                   check_fused_intertwining(fld, 1, u, v, x, 1)]
+        for r in reports:
+            assert r.passed and "worst_generator" in r.details
+            assert r.details.get("max_terms") == (7 if fld is ef else None)
 
 
 def test_ybe_reports_carry_sectors(capsys):

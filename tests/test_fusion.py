@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from xrmatrix import (GENERATORS, FusedDimensionError, NumericField,
-                      chain_rmatrix, check_fused_intertwining,
+from xrmatrix import (GENERATORS, FusedDimensionError, FusedZeroError,
+                      NumericField, chain_rmatrix, check_fused_intertwining,
                       check_fused_ybe, check_fusion_constant,
                       check_hecke_relations, check_projector_commutation,
                       commutant_dimension, fused_local_rep, fused_rmatrix,
@@ -363,9 +363,11 @@ class TestFusedRMatrix:
 
     @pytest.mark.parametrize("sign", (1, -1))
     @pytest.mark.parametrize("n", (2, 3))
-    def test_zeros_are_the_listed_ratios(self, nf, ps, n, sign):
+    def test_zeros_are_the_listed_ratios(self, nf, ps, n, sign, monkeypatch):
         # R(u, v) at u/v = q^(2k) against R at a ratio 1e-3 away: at a
-        # zero only rounding noise is left, elsewhere the two are alike
+        # zero only rounding noise is left, elsewhere the two are alike;
+        # built past the guard that refuses the zeros
+        monkeypatch.setattr(fusion, "fused_zero", lambda *args: None)
         spaces = (fused_space(nf, n, ps.x, sign),
                   fused_space(nf, n, nf.q_power(n) * ps.x, sign))
         zeros = []
@@ -379,15 +381,43 @@ class TestFusedRMatrix:
                 assert at > 0.5 * near, k
         assert zeros == list(fusion.fused_zeros(n, sign))
 
+    @pytest.mark.parametrize("sign", (1, -1))
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_zeros_raise_a_named_error(self, ef, n, sign):
+        # seed 0, where n = 3, sign - failed the invariance guard at
+        # u/v = q^-2 and q^4 instead of naming the zero
+        ps = sample_params(0)
+        nf = NumericField(ps.q)
+        spaces = (fused_space(nf, n, ps.x, sign),
+                  fused_space(nf, n, nf.q_power(n) * ps.x, sign))
+        for k in fusion.fused_zeros(n, sign):
+            zero = nf.q_power(2 * k) * ps.v
+            for u in (zero, zero * (1 + 1e-6)):
+                with pytest.raises(FusedZeroError, match=rf"q\^{2 * k},"):
+                    fused_restriction(nf, n, u, ps.v, ps.x, sign, spaces)
+            rmat, rel, _ = fused_restriction(nf, n, zero * (1 + 1e-3), ps.v,
+                                             ps.x, sign, spaces)
+            assert rel < 1e-9 and np.linalg.norm(rmat.mat) > 0, k
+            zero = ef.q_power(2 * k) * ef.v
+            with pytest.raises(FusedZeroError) as err:
+                fused_restriction(ef, n, zero, ef.v, ef.x, sign)
+            assert err.value.k == k
+            near = zero * ef.from_int(1001) / ef.from_int(1000)
+            assert fusion.fused_zero(ef, n, sign, near, ef.v) is None
+
     def test_single_leg_degenerates_to_elementary(self, nf, ps):
         fused = fused_rmatrix(nf, 1, ps.u, ps.v, ps.x, 1)
         assert np.allclose(fused.mat, vector_rmatrix(nf, ps.u, ps.v, ps.x).mat)
 
-    def test_equal_arguments_give_scalar(self, nf, ps):
+    def test_equal_arguments_give_scalar(self, nf, ps, monkeypatch):
         # scalar u(q^2-1) for one leg; identically zero for two legs
-        # (the two singular crossing factors annihilate each other)
+        # (the two singular crossing factors annihilate each other), so
+        # u = v is refused there, and built past the guard it is zero
         one = fused_rmatrix(nf, 1, ps.u, ps.u, ps.x, 1)
         assert np.allclose(one.mat, ps.u * (nf.q ** 2 - 1) * np.eye(16))
+        with pytest.raises(FusedZeroError):
+            fused_rmatrix(nf, 2, ps.u, ps.u, ps.x, 1)
+        monkeypatch.setattr(fusion, "fused_zero", lambda *args: None)
         two = fused_rmatrix(nf, 2, ps.u, ps.u, ps.x, 1)
         scalar = two.mat[0, 0]
         assert np.linalg.norm(two.mat - scalar * np.eye(64)) < 1e-9

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,3 +132,196 @@ def test_paramset_json_shape():
     blob = ps.to_json()
     assert set(blob) == {"q", "u", "v", "w", "x", "y", "seed"}
     assert blob["q"] == {"re": ps.q.real, "im": ps.q.imag}
+
+
+# ---------------------------------------------------------------------------
+# the arithmetic kernels as they were before the fast paths, kept verbatim
+# as references: every result must carry the same terms in the same order
+
+def _ref_poly_add(self, other):
+    out = dict(self.terms)
+    for e, c in other.terms.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        elif e in out:
+            del out[e]
+    res = LaurentPoly()
+    res.terms = out
+    return res
+
+
+def _ref_poly_neg(self):
+    res = LaurentPoly()
+    res.terms = {e: -c for e, c in self.terms.items()}
+    return res
+
+
+def _ref_poly_sub(self, other):
+    return _ref_poly_add(self, _ref_poly_neg(other))
+
+
+def _ref_poly_mul(self, other):
+    a, b = self.terms, other.terms
+    if not a or not b:
+        return LaurentPoly()
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2],
+                 ea[3] + eb[3], ea[4] + eb[4])
+            s = out.get(e, 0) + ca * cb
+            if s:
+                out[e] = s
+            elif e in out:
+                del out[e]
+    res = LaurentPoly()
+    res.terms = out
+    return res
+
+
+def _ref_content(self) -> int:
+    g = 0
+    for c in self.terms.values():
+        g = gcd(g, c)
+        if g == 1:
+            return 1
+    return g
+
+
+def _ref_rational(num, den):
+    """Today's RationalFunction normalization, as a (num, den) pair."""
+    if den.is_zero:
+        raise ZeroDivisionError("zero denominator polynomial")
+    if num.is_zero:
+        return LaurentPoly(), LaurentPoly.constant(1)
+    lo = None
+    for e in num.terms:
+        lo = e if lo is None else tuple(map(min, lo, e))
+    for e in den.terms:
+        lo = tuple(map(min, lo, e))
+    if any(lo):
+        delta = tuple(-k for k in lo)
+        num = num.shift_exponents(delta)
+        den = den.shift_exponents(delta)
+    g = gcd(_ref_content(num), _ref_content(den))
+    lead = max(den.terms)
+    if den.terms[lead] < 0:
+        g = -g
+    if g != 1:
+        num = LaurentPoly({e: c // g for e, c in num.terms.items()})
+        den = LaurentPoly({e: c // g for e, c in den.terms.items()})
+    return num, den
+
+
+def _ref_add(a, b):
+    (an, ad), (bn, bd) = a, b
+    if an.is_zero:
+        return b
+    if bn.is_zero:
+        return a
+    if ad.terms == bd.terms:
+        return _ref_rational(_ref_poly_add(an, bn), ad)
+    return _ref_rational(_ref_poly_add(_ref_poly_mul(an, bd),
+                                       _ref_poly_mul(bn, ad)),
+                         _ref_poly_mul(ad, bd))
+
+
+def _ref_sub(a, b):
+    # today's a - b: the sum with a negated copy of b
+    if b[0].is_zero:
+        return a
+    return _ref_add(a, (_ref_poly_neg(b[0]), b[1]))
+
+
+def _ref_mul(a, b):
+    if a[0].is_zero or b[0].is_zero:
+        return _ref_rational(LaurentPoly(), LaurentPoly.constant(1))
+    return _ref_rational(_ref_poly_mul(a[0], b[0]), _ref_poly_mul(a[1], b[1]))
+
+
+def _ref_div(a, b):
+    if a[0].is_zero:
+        return a
+    return _ref_rational(_ref_poly_mul(a[0], b[1]), _ref_poly_mul(a[1], b[0]))
+
+
+def _items(r):
+    """Terms of a polynomial or of a (num, den) pair, in insertion order."""
+    if isinstance(r, LaurentPoly):
+        return list(r.terms.items())
+    if isinstance(r, RationalFunction):
+        r = (r.num, r.den)
+    return [list(p.terms.items()) for p in r]
+
+
+# negative q exponents, small coefficients of either sign, so that
+# denominators are non-monic with leading coefficients of both signs
+_signed_exponents = st.tuples(st.integers(-3, 3), st.integers(0, 2),
+                              st.integers(0, 2), st.integers(0, 1),
+                              st.integers(0, 1))
+_nonzero_coeffs = st.integers(-6, 6).filter(bool)
+_monomials = st.dictionaries(_signed_exponents, _nonzero_coeffs,
+                             min_size=1, max_size=1).map(LaurentPoly)
+_wide_polys = st.dictionaries(_signed_exponents, _nonzero_coeffs,
+                              min_size=1, max_size=5).map(LaurentPoly)
+_any_polys = st.one_of(_monomials, _wide_polys, st.just(LaurentPoly()))
+
+
+@st.composite
+def _poly_pairs(draw):
+    """(a, b) where b is often built from a, so that sums, differences
+    and products cancel some or all of their terms."""
+    a = draw(_any_polys)
+    kind = draw(st.sampled_from(("free", "equal", "flipped", "shifted")))
+    if kind == "free":
+        return a, draw(_any_polys)
+    if kind == "equal":
+        return a, LaurentPoly(dict(a.terms)) + draw(_any_polys)
+    if kind == "flipped":
+        # (x + y)(x - y): the cross products cancel
+        return a, LaurentPoly({e: c if i % 2 else -c
+                               for i, (e, c) in enumerate(a.terms.items())})
+    return a, a * draw(_monomials)
+
+
+@st.composite
+def _rational_pairs(draw):
+    an, bn = draw(_poly_pairs())
+    dens = st.one_of(st.just(LaurentPoly.constant(1)), _monomials,
+                     _wide_polys)
+    ad, bd = draw(dens), draw(dens)
+    if draw(st.booleans()):
+        bd = ad
+    return (_ref_rational(an, ad), _ref_rational(bn, bd))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_poly_pairs())
+def test_poly_fast_paths_keep_every_term(pair):
+    a, b = pair
+    assert _items(a * b) == _items(_ref_poly_mul(a, b))
+    assert _items(b * a) == _items(_ref_poly_mul(b, a))
+    assert _items(a - b) == _items(_ref_poly_sub(a, b))
+    assert _items(b - a) == _items(_ref_poly_sub(b, a))
+    assert _items(a + b) == _items(_ref_poly_add(a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_any_polys, st.one_of(_monomials, _wide_polys))
+def test_normalization_keeps_every_term(num, den):
+    assert _items(RationalFunction(num, den)) == _items(_ref_rational(num, den))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_pairs())
+def test_rational_fast_paths_keep_every_term(pair):
+    ra, rb = pair
+    a, b = RationalFunction(*ra), RationalFunction(*rb)
+    assert _items(a) == _items(ra) and _items(b) == _items(rb)
+    assert _items(a + b) == _items(_ref_add(ra, rb))
+    assert _items(a - b) == _items(_ref_sub(ra, rb))
+    assert _items(b - a) == _items(_ref_sub(rb, ra))
+    assert _items(a * b) == _items(_ref_mul(ra, rb))
+    if not b.is_zero:
+        assert _items(a / b) == _items(_ref_div(ra, rb))
