@@ -25,8 +25,7 @@ from .suite import CHECKS, LEVELS, SuiteConfig, run_suite
 # the dense symmetrizer on 4^n states, at n = 6 a 4096 x 4096 complex
 # matrix (268 MB) whose column pivoting makes a rank-one update of the
 # whole remaining matrix per column.  The restriction keeps only the
-# in-sector entries of its state, at most 0.23M of them at n = 5.  Rows
-# of the check table with a lower max_n lower it further.
+# in-sector entries of its state, at most 0.23M of them at n = 5.
 _MAX_N = 5
 
 
@@ -300,12 +299,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(
         _attach_signed_values(sys.argv[1:] if argv is None else argv))
     opts = vars(args)
-    if args.command == "verify":
-        for c in CHECKS:
-            if (args.level in ("all", c.level) and c.max_n is not None
-                    and args.n > c.max_n):
-                parser.error(f"verify {args.level}: {c.name} needs "
-                             f"--n <= {c.max_n}")
     if (args.command in ("check-dynamical", "fusion-report")
             or opts.get("level") == "fused"):
         _refuse_fused_zeros(parser, args)

@@ -34,7 +34,7 @@ from .rmatrix import (RMatrixBuilder, _intertwining_report,
 from .superalgebra import _ALL_TAGS, LocalRep, ProductRep, tuple_rep
 from .tensorops import (INVARIANCE_TOL, Operator, SubspaceBasis, _Gather,
                         _is_exact, _read_only, apply_at_legs, column_space,
-                        column_weights, exact_solve, frobenius, matmul,
+                        column_weights, exact_solve, frobenius, kron, matmul,
                         max_term_count, passes, product_weights, residual,
                         restrict, restrict_action)
 
@@ -117,26 +117,22 @@ def hecke_generator_images(fld, n: int, x):
 
 
 def check_hecke_relations(fld, n: int, x, tol: float = 1e-10) -> CheckReport:
-    """Quadratic, braid, and distant-commutation relations for pi(h_i).
+    """Quadratic and braid relations of pi(h_i), each on its own legs.
 
-    Every product applies a two-leg image to the embedded image of
-    another generator (or to h + 1), so no dense n-leg product is
-    formed.  Exact reports carry details.max_terms, the largest term
-    count among the compared entries.
+    (h_i + 1)(h_i - q^2) = 0 is checked on legs (i, i+1), 16 x 16, and
+    the braid relation of h_i, h_{i+1} on legs (i, i+1, i+2), 64 x 64,
+    each normalized by its operands there: 2^(n-2) (quadratic) and
+    4^(n-3) (braid) times the residual on all n legs, so never looser.
+    Images on disjoint legs commute by the tensor product itself; that
+    check would read exactly 0, a vacuous pass, and is not made.  Exact
+    reports carry details.max_terms, the largest compared term count.
     """
-    pair = hecke_generator_images(fld, n, x)
-    legs = (4,) * n
-    eye = fld.eye(4 ** n)
-
-    def act(i, block):
-        return apply_at_legs(pair[i], i + 1, legs, block)
-
-    hs = [act(i, eye) for i in range(n - 1)]
+    hs = [h.mat for h in hecke_generator_images(fld, n, x)]
+    eye2 = fld.eye(16)
+    eye = fld.eye(4) if n > 2 else None  # embeds h_i on three legs
     q2 = fld.q_power(2)
     exact = fld.backend == "exact"
-    worst = 0.0
-    terms = 0
-    failed = []
+    worst, terms, failed = 0.0, 0, []
 
     def note(name, lhs, rhs, operands):
         nonlocal worst, terms
@@ -148,15 +144,12 @@ def check_hecke_relations(fld, n: int, x, tol: float = 1e-10) -> CheckReport:
         worst = max(worst, dev)
 
     for i, h in enumerate(hs):
-        h_plus = h + eye
-        note(f"quadratic h_{i+1}", act(i, h_plus), h_plus * q2, [h, h])
+        h_plus = h + eye2
+        note(f"quadratic h_{i+1}", matmul(h, h_plus), h_plus * q2, [h, h])
         if i + 1 < len(hs):
-            note(f"braid h_{i+1} h_{i+2}",
-                 act(i, act(i + 1, hs[i])), act(i + 1, act(i, hs[i + 1])),
-                 [hs[i], hs[i + 1], hs[i]])
-        for j in range(i + 2, len(hs)):
-            note(f"commute h_{i+1} h_{j+1}",
-                 act(i, hs[j]), act(j, hs[i]), [hs[i], hs[j]])
+            a, b = kron(h, eye), kron(eye, hs[i + 1])
+            note(f"braid h_{i+1} h_{i+2}", matmul(a, matmul(b, a)),
+                 matmul(b, matmul(a, b)), [a, b, a])
     details = {"n": n, "failed": failed}
     if exact:
         details["max_terms"] = terms
@@ -275,11 +268,13 @@ class FusedSpace:
     with the (K_1, K_3) weight of each basis vector.  twisted holds the
     bases of the fused spaces at q^p x, p = 1, ..., n-1, twisted from
     this one, once fused_restriction has made them, so that each
-    computes its left inverse once."""
+    computes its left inverse once; solve holds the weight blocks of
+    this basis, and their pinv, once a last solve has run through it."""
 
     basis: SubspaceBasis
     weights: tuple
     twisted: list = field(default_factory=list, repr=False, compare=False)
+    solve: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -337,10 +332,8 @@ def _twisted_basis(fld, basis: SubspaceBasis, lam, n: int) -> SubspaceBasis:
     """
     d = np.diagonal(fld.eye(4)).copy()
     d[3] = lam
-    weights = d
-    for _ in range(n - 1):
-        weights = np.kron(weights, d)
-    return SubspaceBasis(basis.columns * weights[:, None])
+    return SubspaceBasis(basis.columns
+                         * functools.reduce(np.kron, (d,) * n)[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -477,19 +470,24 @@ def _restriction_plan(n: int, w1: tuple, w2: tuple):
                            result)
 
 
-def _solve_sectors(fld, solve: tuple, basis: SubspaceBasis, flat: np.ndarray):
+def _solve_sectors(fld, solve: tuple, space: FusedSpace, flat: np.ndarray):
     """Solve B*S = state through the basis B of the fused space at q^n x
-    on the last n legs, one weight block of B at a time; returns the
-    fused R-matrix and the relative residual ||B*S - state|| /
-    max(||state||, ||B||), on the scale of restrict_action.  Raises
-    ValueError naming the worst column of the fused R-matrix when the
-    state leaves span(B): on the exact backend through exact_solve, on
-    the numeric one when the residual does not pass INVARIANCE_TOL."""
+    on the last n legs, one weight block of B at a time, the blocks kept
+    on that space (FusedSpace.solve); returns the fused R-matrix and the
+    relative residual ||B*S - state|| / max(||state||, ||B||), on the
+    scale of restrict_action.  Raises ValueError naming the worst column
+    of the fused R-matrix when the state leaves span(B): on the exact
+    backend through exact_solve, on the numeric one when the residual
+    does not pass INVARIANCE_TOL."""
     gather, rows, cols, entry_col, result = solve
     state = gather(flat)
-    # B takes the output states of the solve, its columns, to the input
-    # states, its rows
-    blocks = _blocks(basis.columns, cols, rows, fld.zero)
+    if not space.solve:
+        # B takes the output states of the solve, its columns, to the
+        # input states, its rows
+        blocks = _blocks(space.basis.columns, cols, rows, fld.zero)
+        space.solve.extend((blocks, None if _is_exact(blocks)
+                            else np.linalg.pinv(blocks)))
+    blocks, inverse = space.solve
     rel = 0.0
     if _is_exact(state):
         sol = fld.zeros((len(rows), rows.shape[1], state.shape[2]))
@@ -497,10 +495,11 @@ def _solve_sectors(fld, solve: tuple, basis: SubspaceBasis, flat: np.ndarray):
                                        (rows >= 0).sum(axis=1))):
             sol[c, :k] = exact_solve(blocks[c, :r, :k], state[c, :r])
     else:
-        sol = matmul(np.linalg.pinv(blocks), state)
+        sol = matmul(inverse, state)
         delta = matmul(blocks, sol)
         delta -= state
-        scale = max(frobenius(state), frobenius(basis.columns), 1e-300)
+        scale = max(frobenius(state), frobenius(space.basis.columns),
+                    1e-300)
         rel = frobenius(delta) / scale
         if not passes(rel, False, INVARIANCE_TOL):
             norms = np.sqrt(np.bincount(
@@ -570,7 +569,7 @@ def fused_restriction(fld, n: int, u, v, x, sign: int, spaces=None):
     for p, (gather, rows, cols, outside) in zip(reversed(range(n)), stages):
         lo, hi = bases[p], bases[p + 1]
         action = apply_chain(fld, (a[p],) + a[n:], fld.q_power(p) * x, cycle,
-                             np.kron(fld.eye(4), hi.columns))
+                             kron(fld.eye(4), hi.columns))
         stage, rel = restrict_action(lo, action.reshape(lo.ambient, -1))
         stage = stage.reshape(4 * lo.dim, -1)
         worst = max(worst, rel)
@@ -578,7 +577,7 @@ def fused_restriction(fld, n: int, u, v, x, sign: int, spaces=None):
         flat = matmul(_blocks(stage, rows, cols, fld.zero),
                       gather(flat)).reshape(-1)
     # block 1, now on the last n legs, lies in the fused space at q^n x
-    small, rel = _solve_sectors(fld, solve, sp2.basis, flat)
+    small, rel = _solve_sectors(fld, solve, sp2, flat)
     return (Operator(small, (sp1.dim, sp2.dim), (sp1.weights, sp2.weights)),
             max(worst, rel, off), off)
 
@@ -641,30 +640,54 @@ def fused_builder(fld, n: int, sign: int, residuals: list) -> RMatrixBuilder:
 def check_projector_commutation(fld, n: int, u, v, x, sign: int,
                                 tol: float = 1e-9,
                                 sabotage_shift: bool = False) -> CheckReport:
-    """Block-swap chain commutes with the doubled symmetrizer.
+    """Block-swap chain commutes with the doubled symmetrizer, probed.
 
-    sabotage_shift misplaces the second-block parameter by one extra
-    power of q, a negative control pinning the q^n shift.
+    Both sides act on one fixed random complex block g of 16^n x k
+    (details.k = 4, details.probe_seed = 0), so neither is formed on
+    all 2n legs: S1 (x) S2 as two n-leg products, the chains through
+    apply_chain (Freivalds, IFIP Congress 1977).  The residual is
+    normalized by the probed side ||chain (S1 (x) S2) g||, not by the
+    dense one; on the exact backend g holds integers and the residual is
+    exactly 0 or inf.  sabotage_shift misplaces the second-block
+    parameter by one extra power of q, a negative control pinning the
+    q^n shift.
     """
+    import random
+
     gam = Permutation.reversal(n)
     tau = Permutation.block_swap(n)
     prof = q_profile(fld, n, sign)
     up = tuple(u * p for p in prof)
     vp = tuple(v * p for p in prof)
-    sym1 = symmetrizer(fld, n, x, sign)
+    s1 = symmetrizer(fld, n, x, sign).op.mat
     second_x = fld.q_power(n + 1 if sabotage_shift else n) * x
-    sym2 = symmetrizer(fld, n, second_x, sign)
-    doubled = np.kron(sym1.op.mat, sym2.op.mat)
-    lhs_side = apply_chain(fld, concat_tuples(gam.act(up), gam.act(vp)), x,
-                           tau, doubled)
-    rhs = chain_rmatrix(fld, concat_tuples(up, vp), x, tau)
-    delta = lhs_side - matmul(doubled, rhs.mat)
-    # the equality is between two products; normalize by one side
-    res = residual(delta, [lhs_side])
+    s2 = symmetrizer(fld, n, second_x, sign).op.mat
+    d, k, seed = 4 ** n, 4, 0
     exact = fld.backend == "exact"
+    # random 16-bit integers: on the exact backend one per entry, on the
+    # numeric one two per complex entry, scaled to [-1, 1)
+    ints = np.frombuffer(random.Random(seed).randbytes(4 * d * d * k),
+                         dtype=np.int16)
+    if exact:
+        g = np.fromiter(map(fld.from_int, ints[:d * d * k].tolist()),
+                        object, d * d * k)
+    else:
+        g = (ints / 32768.0).view(np.complex128)
+    g = g.reshape(d * d, k)
+
+    def doubled(block):
+        # S2 on the second n legs, then S1 on the first
+        block = matmul(s2, block.reshape(d, d, k))
+        return matmul(s1, block.reshape(d, d * k)).reshape(d * d, k)
+
+    lhs = apply_chain(fld, concat_tuples(gam.act(up), gam.act(vp)), x, tau,
+                      doubled(g))
+    rhs = doubled(apply_chain(fld, concat_tuples(up, vp), x, tau, g))
+    res = residual(lhs - rhs, [lhs])
     return CheckReport(name="projector-commutation", residual=res,
                        passed=passes(res, exact, tol), exact=exact,
-                       details={"sign": sign, "sabotaged": sabotage_shift})
+                       details={"sign": sign, "sabotaged": sabotage_shift,
+                                "k": k, "probe_seed": seed})
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 from .cartan import parity, root_pairing, theta, weight_pairing
 from .reports import CheckReport, scalar_to_json
 from .scalars import NumericField
-from .tensorops import (Operator, SubspaceBasis, matmul, matrix_rank,
+from .tensorops import (Operator, SubspaceBasis, kron, matmul, matrix_rank,
                         matrix_unit, max_term_count, passes, residual,
                         restrict, restrict_action)
 
@@ -116,28 +116,28 @@ def coproduct_image(tag: str, reps) -> np.ndarray:
     fld = head.field
     rest_dim = math.prod(r.dim for r in rest)
     if tag == "s" or tag.startswith("K"):
-        return np.kron(head.image(tag), coproduct_image(tag, rest))
+        return kron(head.image(tag), coproduct_image(tag, rest))
     if tag.startswith("E"):
         i = int(tag[1])
-        out = np.kron(head.image(tag), fld.eye(rest_dim))
+        out = kron(head.image(tag), fld.eye(rest_dim))
         grouplike = head.image(f"K{i}")
         if parity(i):
             grouplike = matmul(grouplike, head.image("s"))
-        out = out + np.kron(grouplike, coproduct_image(tag, rest))
+        out = out + kron(grouplike, coproduct_image(tag, rest))
         if i == 0:
             coeff = fld.q - fld.one / fld.q
             first = matmul(head.image("s"), head.image("[E0,F2]")) * coeff
-            out = out + np.kron(first, coproduct_image("E2", rest))
+            out = out + kron(first, coproduct_image("E2", rest))
         return out
     if tag.startswith("F"):
         i = int(tag[1])
-        out = np.kron(head.image(tag), coproduct_image(f"Kinv{i}", rest))
+        out = kron(head.image(tag), coproduct_image(f"Kinv{i}", rest))
         grouplike = head.image("s") if parity(i) else fld.eye(head.dim)
-        out = out + np.kron(grouplike, coproduct_image(tag, rest))
+        out = out + kron(grouplike, coproduct_image(tag, rest))
         if i == 0:
             coeff = fld.q - fld.one / fld.q
-            out = out - np.kron(head.image("F2") * coeff,
-                                coproduct_image("[E2,F0]", rest))
+            out = out - kron(head.image("F2") * coeff,
+                             coproduct_image("[E2,F0]", rest))
         return out
     if tag == "[E2,F0]":
         return super_bracket(fld, coproduct_image("E2", reps),

@@ -9,10 +9,11 @@ arrays of RationalFunction entries.  Every matrix product goes through
 matmul: on complex arrays it is one np.matmul call, on object arrays it
 forms only the products of two nonzero entries and sums them in the
 order np.matmul would, so each exact entry comes out as the same
-unreduced rational function.  A two-leg operator acts on a tensor
-product through apply_at_legs, which never forms the identity-padded
-embedding.  restrict_action solves for the matrix of an operator on an
-invariant subspace through one basis of that subspace.
+unreduced rational function; kron follows the same rule.  A two-leg
+operator acts on a tensor product through apply_at_legs, which never
+forms the identity-padded embedding.  restrict_action solves for the
+matrix of an operator on an invariant subspace through one basis of
+that subspace.
 
 An operator may carry the weight of each basis vector of each leg.  The
 R-matrices conserve the total weight, so on three legs they are block
@@ -148,6 +149,24 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                     out[base + l] = p if cur is zero else cur + p
             base += n
     return np.fromiter(out, object, len(out)).reshape(batch + (m, n))
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices, bitwise on complex ones; on object ones,
+    like matmul, only the products of two nonzero entries are formed, each
+    the rational function np.kron gives, and the rest is the exact zero."""
+    (m, n), (p, r) = a.shape, b.shape
+    if _is_exact(a) or _is_exact(b):
+        out = np.full((m, p, n, r), _RF_ZERO, dtype=object)
+        bnz = [(k, l, y) for k, row in enumerate(_nonzero_rows(b.tolist()))
+               for l, y in row]
+        for i, row in enumerate(_nonzero_rows(a.tolist())):
+            for j, x in row:
+                for k, l, y in bnz:
+                    out[i, k, j, l] = x * y
+    else:
+        out = a[:, None, :, None] * b[None, :, None, :]
+    return out.reshape(m * p, n * r)
 
 
 def passes(res: float, exact: bool, tol: float) -> bool:

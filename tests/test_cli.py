@@ -130,8 +130,6 @@ def test_usage_error_is_exit_2(capsys, monkeypatch):
                  ["check-ybe", "--backend", "exact", "--u", "1.1,0"],
                  ["check-relations", "--backend", "exact", "--q", "1.3,0.2"],
                  ["build-r", "--backend", "exact", "--x", "0.5,0.1"],
-                 ["verify", "fusion", "--n", "4"],
-                 ["verify", "all", "--n", "5"],
                  ["verify", "fused-ybe", "--samples", "0"],
                  # the fused R-matrix vanishes at u = v for n >= 2
                  ["check-ybe", "--level", "fused", "--u", "1", "--v", "1"],
@@ -144,9 +142,11 @@ def test_usage_error_is_exit_2(capsys, monkeypatch):
         assert err.value.code == 2, argv
         assert "error:" in capsys.readouterr().err, argv
     assert ran == []
-    # the cap of projector-commutation binds only the levels that run it,
-    # and u = v only the fused levels at n >= 2
+    # every level reaches n = 5, and u = v is refused only by the fused
+    # levels at n >= 2
     for argv in (["verify", "fusion", "--n", "3"],
+                 ["verify", "fusion", "--n", "4"],
+                 ["verify", "all", "--n", "5"],
                  ["verify", "fused-ybe", "--n", "5"],
                  ["check-ybe", "--level", "fused", "--n", "5"],
                  ["check-ybe", "--u", "1", "--v", "1"],
@@ -154,8 +154,8 @@ def test_usage_error_is_exit_2(capsys, monkeypatch):
                   "--v", "1"],
                  ["check-dynamical", "--u", "1", "--v", "1,0.1"]):
         assert main(argv) == 0, argv
-    assert ran == ["verify", "verify", "check-ybe", "check-ybe", "check-ybe",
-                   "check-dynamical"]
+    assert ran == ["verify", "verify", "verify", "verify", "check-ybe",
+                   "check-ybe", "check-ybe", "check-dynamical"]
 
 
 def test_fused_zero_ratios_are_exit_2(capsys, monkeypatch):
@@ -420,6 +420,18 @@ def test_verify_negative_controls(capsys):
     lines = [json.loads(line) for line in out.strip().splitlines()]
     names = {line["check"] for line in lines}
     assert any(name.startswith("negative:") for name in names)
+
+
+def test_projector_rows_skip_one_leg(capsys):
+    # at n = 1 the symmetrizer is the identity, so the commutation and its
+    # sabotaged control would both read 0; the rows do not run there
+    for level in ("all", "fusion"):
+        code, out = run(capsys, "verify", level, "--n", "1", "--samples", "1",
+                        "--negative-controls")
+        assert code == 0, level
+        names = [json.loads(line)["check"] for line in out.splitlines()]
+        assert "fusion-intertwining" in names, level
+        assert not any("projector" in name for name in names), level
 
 
 def test_verify_seed_reproducibility(capsys):

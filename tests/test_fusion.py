@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from xrmatrix.permutations import (Permutation, all_reduced_words,
 from xrmatrix.superalgebra import coproduct_image
 from xrmatrix.cartan import vector_weights
 from xrmatrix.tensorops import (Operator, SubspaceBasis, apply_at_legs,
-                                column_weights, product_weights, residual,
-                                restrict, restrict_action)
+                                column_weights, max_term_count, passes,
+                                product_weights, residual, restrict,
+                                restrict_action)
 
 
 class TestHecke:
@@ -43,6 +45,93 @@ class TestHecke:
             p1, p2 = tensor_projectors(nf, nf.q ** i * ps.x)
             assert h.legs == (4, 4)
             assert np.allclose(h.mat, nf.q ** 2 * p1.mat - p2.mat)
+
+
+def _n_leg_hecke(fld, pair, n, tol=1e-10):
+    """The Hecke relations by the n-leg route: every image embedded on all
+    n legs, the distant commutations included; returns (passed, failed,
+    max_terms, residual)."""
+    legs = (4,) * n
+    eye = fld.eye(4 ** n)
+
+    def act(i, block):
+        return apply_at_legs(pair[i], i + 1, legs, block)
+
+    hs = [act(i, eye) for i in range(n - 1)]
+    q2 = fld.q_power(2)
+    exact = fld.backend == "exact"
+    worst, terms, failed = 0.0, 0, []
+
+    def note(name, lhs, rhs, operands):
+        nonlocal worst, terms
+        if exact:
+            terms = max(terms, max_term_count(lhs, rhs))
+        dev = residual(lhs - rhs, operands)
+        if not passes(dev, exact, tol):
+            failed.append(name)
+        worst = max(worst, dev)
+
+    for i, h in enumerate(hs):
+        h_plus = h + eye
+        note(f"quadratic h_{i+1}", act(i, h_plus), h_plus * q2, [h, h])
+        if i + 1 < len(hs):
+            note(f"braid h_{i+1} h_{i+2}",
+                 act(i, act(i + 1, hs[i])), act(i + 1, act(i, hs[i + 1])),
+                 [hs[i], hs[i + 1], hs[i]])
+        for j in range(i + 2, len(hs)):
+            note(f"commute h_{i+1} h_{j+1}",
+                 act(i, hs[j]), act(j, hs[i]), [hs[i], hs[j]])
+    return passes(worst, exact, tol), failed, terms, worst
+
+
+class TestHeckeOwnLegs:
+    """The relations on their own legs against the n-leg route."""
+
+    @staticmethod
+    def _both(fld, n, x, images, monkeypatch):
+        monkeypatch.setattr(fusion, "hecke_generator_images",
+                            lambda *args: images)
+        report = check_hecke_relations(fld, n, x)
+        return ((report.passed, report.details["failed"],
+                 report.details.get("max_terms", 0)),
+                _n_leg_hecke(fld, images, n)[:3])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_same_verdicts_as_n_leg_route(self, n, monkeypatch):
+        for seed in (0, 7):
+            ps = sample_params(seed)
+            fld = NumericField(ps.q)
+            images = hecke_generator_images(fld, n, ps.x)
+            new, ref = self._both(fld, n, ps.x, images, monkeypatch)
+            assert new == ref == (True, [], 0)
+            # a bent image fails the same relations on both routes; the
+            # images on disjoint legs still commute
+            bent = list(images)
+            k = n // 2 - 1
+            bent[k] = Operator(images[k].mat * (1 + 1e-6), (4, 4))
+            new, ref = self._both(fld, n, ps.x, bent, monkeypatch)
+            assert new == ref
+            assert not new[0] and f"quadratic h_{k + 1}" in new[1]
+
+    @pytest.mark.parametrize("n, terms", [(2, 3), (3, 5)])
+    def test_exact_same_term_counts(self, ef, n, terms, monkeypatch):
+        images = hecke_generator_images(ef, n, ef.x)
+        new, ref = self._both(ef, n, ef.x, images, monkeypatch)
+        assert new == ref == (True, [], terms)
+
+    def test_quadratic_residual_is_stricter(self, nf, ps, monkeypatch):
+        # scaling every image keeps the braid relations and breaks the
+        # quadratic ones; on their own two legs those read 2^(n-2) times
+        # the n-leg residual
+        n = 4
+        bent = [Operator(h.mat * (1 + 1e-6), (4, 4))
+                for h in hecke_generator_images(nf, n, ps.x)]
+        monkeypatch.setattr(fusion, "hecke_generator_images",
+                            lambda *args: bent)
+        report = check_hecke_relations(nf, n, ps.x)
+        worst = _n_leg_hecke(nf, bent, n)[3]
+        assert report.residual == pytest.approx(2 ** (n - 2) * worst,
+                                                rel=1e-6)
 
 
 class TestSymmetrizer:
@@ -431,16 +520,78 @@ class TestFusedRMatrix:
         assert np.linalg.norm(prod - scalar * np.eye(64)) < 1e-8 * abs(scalar)
 
     def test_projector_commutation(self, nf, ps):
-        for sign in (1, -1):
-            report = check_projector_commutation(nf, 2, ps.u, ps.v, ps.x,
-                                                 sign, tol=1e-9)
-            assert report.passed
+        for n in (2, 3, 4):
+            for sign in (1, -1):
+                report = check_projector_commutation(nf, n, ps.u, ps.v, ps.x,
+                                                     sign, tol=1e-9)
+                assert report.passed, (n, sign)
 
     def test_wrong_shift_breaks_commutation(self, nf, ps):
-        report = check_projector_commutation(nf, 2, ps.u, ps.v, ps.x, 1,
-                                             sabotage_shift=True)
-        assert not report.passed
-        assert report.residual > 1e-3
+        for n in (2, 3, 4):
+            for sign in (1, -1):
+                report = check_projector_commutation(
+                    nf, n, ps.u, ps.v, ps.x, sign, sabotage_shift=True)
+                assert not report.passed
+                assert report.residual > 1e-3, (n, sign)
+
+
+def _dense_projector_route(fld, n, u, v, x, sign, sabotage_shift=False):
+    """The projector commutation by the dense route: the doubled
+    symmetrizer and both block-swap chains on all 2n legs; returns the
+    difference of the two sides and the first side, chain * (S1 (x) S2)."""
+    gam = Permutation.reversal(n)
+    tau = Permutation.block_swap(n)
+    prof = q_profile(fld, n, sign)
+    up = tuple(u * p for p in prof)
+    vp = tuple(v * p for p in prof)
+    second_x = fld.q_power(n + 1 if sabotage_shift else n) * x
+    doubled = np.kron(symmetrizer(fld, n, x, sign).op.mat,
+                      symmetrizer(fld, n, second_x, sign).op.mat)
+    lhs = apply_chain(fld, concat_tuples(gam.act(up), gam.act(vp)), x, tau,
+                      doubled)
+    rhs = chain_rmatrix(fld, concat_tuples(up, vp), x, tau)
+    return lhs - doubled @ rhs.mat, lhs
+
+
+class TestProjectorProbe:
+    def test_probe_is_the_dense_route_applied_to_the_block(self, nf, ps,
+                                                           monkeypatch):
+        # the probe's two sides differ by the dense route's difference
+        # applied to the same fixed block, drawn as the check draws it
+        n = 2
+        raw = random.Random(0).randbytes(4 * 16 ** n * 4)
+        g = (np.frombuffer(raw, dtype=np.int16) / 32768.0).view(
+            np.complex128).reshape(16 ** n, 4)
+        seen = []
+
+        def spy(delta, operands=()):
+            seen.append((delta, operands))
+            return residual(delta, operands)
+
+        monkeypatch.setattr(fusion, "residual", spy)
+        for sign in (1, -1):
+            for sabotaged in (False, True):
+                report = check_projector_commutation(
+                    nf, n, ps.u, ps.v, ps.x, sign, sabotage_shift=sabotaged)
+                assert report.details == {"sign": sign,
+                                          "sabotaged": sabotaged, "k": 4,
+                                          "probe_seed": 0}
+                diff, (lhs,) = seen[-1]
+                delta, dense_lhs = _dense_projector_route(
+                    nf, n, ps.u, ps.v, ps.x, sign, sabotaged)
+                scale = np.linalg.norm(lhs)
+                assert np.linalg.norm(lhs - dense_lhs @ g) < 1e-12 * scale
+                assert (np.linalg.norm(diff - delta @ g)
+                        < 1e-12 * scale), (sign, sabotaged)
+
+    def test_exact_probe_is_exact(self, ef):
+        # on the exact backend the block holds integers: the verdict is an
+        # exact zero, and the sabotaged shift is infinitely far from it
+        report = check_projector_commutation(ef, 2, ef.u, ef.v, ef.x, 1)
+        assert report.exact and report.passed and report.residual == 0.0
+        control = check_projector_commutation(ef, 2, ef.u, ef.v, ef.x, 1,
+                                              sabotage_shift=True)
+        assert not control.passed and control.residual == math.inf
 
 
 class TestFusedRep:
@@ -541,6 +692,22 @@ class TestFusedYBE:
         report = check_fused_ybe(ef, 1, 1, ef.u, ef.v, ef.w, ef.x)
         assert report.passed
         assert built == [ef.x, ef.q * ef.x, ef.q_power(2) * ef.x]
+
+    def test_last_solve_blocks_are_inverted_once_per_space(self, nf, ps,
+                                                            monkeypatch):
+        # the six builds end in the spaces at q^2 x and q^4 x, so two
+        # batched pinv of their weight blocks serve all six last solves
+        batched = []
+        pinv = np.linalg.pinv
+
+        def counting(a, *args, **kwargs):
+            batched.append(a.ndim == 3)
+            return pinv(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", counting)
+        report = check_fused_ybe(nf, 2, 1, ps.u, ps.v, ps.w, ps.x)
+        assert report.passed
+        assert sum(batched) == 2
 
     def test_off_sector_stage_entry_fails(self, nf, ps, ef, monkeypatch):
         # the sector route leaves out the entries of a stage matrix S_p

@@ -393,6 +393,47 @@ def test_exact_apply_at_legs_forms_no_zero_product(ef, monkeypatch):
     assert counts["zero"] == 0
 
 
+def test_kron_is_np_kron(ef):
+    rng = np.random.default_rng(12)
+    shapes = (((2, 3), (4, 1)), ((4, 4), (4, 4)), ((1, 5), (3, 2)),
+              ((16, 4), (4, 4)))
+    for ashape, bshape in shapes:
+        a = rng.normal(size=ashape) + 1j * rng.normal(size=ashape)
+        b = rng.normal(size=bshape) + 1j * rng.normal(size=bshape)
+        out = tensorops.kron(a, b)
+        assert out.dtype == np.complex128
+        assert np.array_equal(out, np.kron(a, b))
+        for density in (0.3, 1.0):
+            a = _sparse_exact(ef, rng, ashape, density)
+            b = _sparse_exact(ef, rng, bshape, density)
+            # a zero row, a zero column, and entries that cancel to a zero
+            # other than the shared exact zero
+            a[0, :] = ef.zero
+            b[:, -1] = ef.zero
+            a[-1, -1] = ef.x + (-ef.x)
+            _assert_same_terms(tensorops.kron(a, b), np.kron(a, b))
+
+
+def test_exact_kron_forms_no_zero_product(ef, monkeypatch):
+    rng = np.random.default_rng(13)
+    a = _sparse_exact(ef, rng, (4, 4), 0.4)
+    a[1, 2] = ef.x + (-ef.x)
+    b = _sparse_exact(ef, rng, (6, 3), 0.4)
+    counts = {"all": 0, "zero": 0}
+    mul = RationalFunction.__mul__
+
+    def counted(x, y):
+        counts["all"] += 1
+        counts["zero"] += x.is_zero or y.is_zero
+        return mul(x, y)
+
+    monkeypatch.setattr(RationalFunction, "__mul__", counted)
+    tensorops.kron(a, b)
+    nonzero = sum(not s.is_zero for s in a.flat)
+    assert counts == {"all": nonzero * sum(not s.is_zero for s in b.flat),
+                      "zero": 0}
+
+
 def test_numeric_matmul_is_np_matmul_bitwise(nf, monkeypatch):
     rng = np.random.default_rng(10)
 
