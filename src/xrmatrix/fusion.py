@@ -3,19 +3,13 @@
 The Hecke generator images are recovered from the elementary R-matrix
 by the affine inversion formula
     pi(h_i) = (R_i(u, v; x) - v (q^2 - 1) I) / (u - v),
-probed at two integer (u, v) pairs; on the exact backend integer probes
-keep every entry polynomial.  Each image stays on its own two legs and
-acts through apply_at_legs.  The symmetrizer is built one leg at a time
-by its coset factorization.  Chains over a permutation apply the
-elementary matrices leg by leg along the canonical reduced word,
-updating the parameter tuple by partial permutations.  The fused
-R-matrix restricts the block-swap chain one moving leg at a time, so no
-operator or block on all 2n legs is formed; the fused spaces between the
-two ends are twisted from the first one rather than built.  Every stage
-conserves the joint (K_1, K_3) weight, so the restriction keeps only the
-entries of its state that lie in the weight sector of their column, and
-applies each stage, and the last solve, one weight class at a time
-through cached index plans.
+probed at two integer (u, v) pairs, which keep exact entries polynomial;
+each stays on its own two legs and acts through apply_at_legs.  The
+symmetrizer is built one leg at a time by its coset factorization, and
+chains apply the elementary matrices along the canonical reduced word.
+The fused R-matrix restricts the block-swap chain one moving leg at a
+time and one joint (K_1, K_3) weight class at a time, through cached
+index plans, so no operator or block on all 2n legs is formed.
 """
 
 from __future__ import annotations
@@ -34,9 +28,9 @@ from .rmatrix import (RMatrixBuilder, _intertwining_report,
 from .superalgebra import _ALL_TAGS, LocalRep, ProductRep, tuple_rep
 from .tensorops import (INVARIANCE_TOL, Operator, SubspaceBasis, _Gather,
                         _is_exact, _read_only, apply_at_legs, column_space,
-                        column_weights, exact_solve, frobenius, kron, matmul,
+                        column_weights, exact_solve, kron, matmul,
                         max_term_count, passes, product_weights, residual,
-                        restrict, restrict_action)
+                        restrict, scaled)
 
 _MAX_SYMMETRIC_GROUP = 6
 
@@ -94,18 +88,13 @@ def hecke_generator_images(fld, n: int, x):
     h_i is probed at parameter q^(i-1) x, the twist of legs (i, i+1);
     callers place it with apply_at_legs, so no n-leg embedding is formed.
     """
-    probes = ((2, 3), (5, 7))
-    q2 = fld.q_power(2)
-    one = fld.one
-    eye2 = fld.eye(16)
+    q2, one, eye2 = fld.q_power(2), fld.one, fld.eye(16)
+    u, v = ([fld.from_int(k) for k in ks] for ks in ((2, 5), (3, 7)))
     out = []
     for i in range(n - 1):
-        imgs = []
-        for pu, pv in probes:
-            u = fld.from_int(pu)
-            v = fld.from_int(pv)
-            r = vector_rmatrix(fld, u, v, fld.q_power(i) * x).mat
-            imgs.append((r - eye2 * (v * (q2 - one))) * (one / (u - v)))
+        rs = vector_rmatrix(fld, u, v, fld.q_power(i) * x)
+        imgs = [scaled(r - scaled(eye2, b * (q2 - one)), one / (a - b))
+                for r, a, b in zip(rs, u, v)]
         dev = residual(imgs[0] - imgs[1], [imgs[0]])
         if not passes(dev, fld.backend == "exact", GUARD_TOL):
             raise RuntimeError(
@@ -145,7 +134,8 @@ def check_hecke_relations(fld, n: int, x, tol: float = 1e-10) -> CheckReport:
 
     for i, h in enumerate(hs):
         h_plus = h + eye2
-        note(f"quadratic h_{i+1}", matmul(h, h_plus), h_plus * q2, [h, h])
+        note(f"quadratic h_{i+1}", matmul(h, h_plus), scaled(h_plus, q2),
+             [h, h])
         if i + 1 < len(hs):
             a, b = kron(h, eye), kron(eye, hs[i + 1])
             note(f"braid h_{i+1} h_{i+2}", matmul(a, matmul(b, a)),
@@ -190,18 +180,19 @@ def symmetrizer(fld, n: int, x, sign: int) -> Symmetrizer:
     for k in range(2, n + 1):
         term = total
         for i in range(k - 2, -1, -1):
-            term = apply_at_legs(hs[i], i + 1, legs, term) * c
+            term = scaled(apply_at_legs(hs[i], i + 1, legs, term), c)
             total = total + term
         # the lengths of the coset words are 0, ..., k-1
         constant = constant * sum((fld.q_power(2 * sign * j)
                                    for j in range(1, k)), fld.one)
     eig = fld.q_power(2) if sign > 0 else fld.from_int(-1)
     for i, h in enumerate(hs):
-        dev = residual(apply_at_legs(h, i + 1, legs, total) - total * eig,
-                       [h.mat, total])
+        dev = residual(apply_at_legs(h, i + 1, legs, total)
+                       - scaled(total, eig), [h.mat, total])
         if not passes(dev, exact, GUARD_TOL):
             raise RuntimeError(f"symmetrizer eigen-relation fails at h_{i+1}")
-    dev = residual(matmul(total, total) - total * constant, [total, total])
+    dev = residual(matmul(total, total) - scaled(total, constant),
+                   [total, total])
     if not passes(dev, exact, GUARD_TOL):
         raise RuntimeError("symmetrizer square constant fails")
     op = Operator(total, legs)
@@ -226,7 +217,7 @@ def fusion_constant(fld, n: int, u, x, sign: int, sym: Symmetrizer = None):
     else:
         idx = np.unravel_index(int(np.argmax(np.abs(smat))), smat.shape)
     ratio = chain.mat[idx] / smat[idx]
-    dev = residual(chain.mat - smat * ratio, [chain.mat])
+    dev = residual(chain.mat - scaled(smat, ratio), [chain.mat])
     if not passes(dev, fld.backend == "exact", GUARD_TOL):
         raise RuntimeError(
             f"reversal chain is not proportional to the symmetrizer "
@@ -246,13 +237,10 @@ def check_fusion_constant(fld, n: int, x, sign: int, u_probes, x_probes,
         return abs(a - b) / max(abs(b), 1e-300)
 
     ref = fusion_constant(fld, n, u_probes[0], x, sign)
-    worst = 0.0
-    for u2 in u_probes[1:]:
-        worst = max(worst, deviation(
-            fusion_constant(fld, n, u2, x, sign), ref))
-    for x2 in x_probes:
-        worst = max(worst, deviation(
-            fusion_constant(fld, n, u_probes[0], x2, sign), ref))
+    probes = ([(u2, x) for u2 in u_probes[1:]]
+              + [(u_probes[0], x2) for x2 in x_probes])
+    worst = max((deviation(fusion_constant(fld, n, u2, x2, sign), ref)
+                 for u2, x2 in probes), default=0.0)
     return CheckReport(name=f"fusion-constant-{'plus' if sign > 0 else 'minus'}",
                        residual=worst, passed=passes(worst, exact, tol),
                        exact=exact,
@@ -265,15 +253,15 @@ def check_fusion_constant(fld, n: int, x, sign: int, u_probes, x_probes,
 @dataclass(frozen=True)
 class FusedSpace:
     """Image of the normalized symmetrizer inside the n-fold tensor space,
-    with the (K_1, K_3) weight of each basis vector.  twisted holds the
-    bases of the fused spaces at q^p x, p = 1, ..., n-1, twisted from
-    this one, once fused_restriction has made them, so that each
-    computes its left inverse once; solve holds the weight blocks of
-    this basis, and their pinv, once a last solve has run through it."""
+    with the (K_1, K_3) weight of each basis vector.  Made once, when a
+    restriction first needs them: twisted holds the stacked bases at q^p
+    x, p = 0, ..., n-1, twisted from this one, stages their weight blocks
+    and pinv, and solve those of this basis for a last solve."""
 
     basis: SubspaceBasis
     weights: tuple
     twisted: list = field(default_factory=list, repr=False, compare=False)
+    stages: list = field(default_factory=list, repr=False, compare=False)
     solve: list = field(default_factory=list, repr=False, compare=False)
 
     @property
@@ -323,13 +311,11 @@ def fused_space(fld, n: int, x, sign: int,
 def _twisted_basis(fld, basis: SubspaceBasis, lam, n: int) -> SubspaceBasis:
     """A basis of the fused space at lam x from a basis B of the one at x.
 
-    x enters the vector R-matrix only in the entries that take e_1 (x) e_2
-    and e_2 (x) e_1 to e_3 (x) e_4 and e_4 (x) e_3, so conjugating by
-    D (x) D, D = diag(1, 1, 1, lam), turns R(u, v; x) into R(u, v; lam x).
-    The Hecke images and the symmetrizer at lam x are then those at x
-    conjugated by D^(x)n, and D^(x)n B spans the fused space at lam x;
-    being diagonal, it keeps the support, so the weights, of B's columns.
-    """
+    x enters the vector R-matrix only in its entries from e_1 (x) e_2 and
+    e_2 (x) e_1 to e_3 (x) e_4 and e_4 (x) e_3, so D (x) D, D = diag(1, 1,
+    1, lam), conjugates R(u, v; x), its Hecke images and symmetrizer into
+    those at lam x, and D^(x)n B spans the fused space at lam x; being
+    diagonal, it keeps the support, so the weights, of B's columns."""
     d = np.diagonal(fld.eye(4)).copy()
     d[3] = lam
     return SubspaceBasis(basis.columns
@@ -361,34 +347,23 @@ def _class_tables(*weights):
     return out
 
 
-def _blocks(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray, zero):
-    """The weight-class blocks of mat, stacked: block c is
-    mat[rows[c], cols[c]], zero where either index is the padding -1."""
-    out = mat[rows[:, :, None], cols[:, None, :]]
-    return np.where((rows[:, :, None] >= 0) & (cols[:, None, :] >= 0), out,
-                    zero)
-
-
 def _step(entries, a: int, b: int, in_weights, out_weights, out_sizes):
     """Plan a weight-conserving map from legs a, ..., b-1 of the state,
     whose joint states have weights in_weights, to legs of out_sizes,
     whose joint states have weights out_weights.
 
-    entries = (col, idx, pos, sizes) lists the state's entries by fused
-    R-matrix column, index on each leg and position in the flat state,
-    with the size of each leg.  The entries that agree on the column and
-    on the other legs and whose input state lies in one weight class
-    form a context, a column for the class block of the map.  The
-    contexts of each class are gathered side by side, zero-padded to one
-    shape, and each yields every output state of its class, the entries
-    of the next state.  Returns the gather, the (classes, width) tables
-    of the output states (rows) and input states (cols) of each class,
-    the map's entries that change the weight, and the next state's
-    entries.
-    """
+    entries = (col, idx, pos, sizes) lists the state's entries by column,
+    index on each leg and position in the flat state, with the size of
+    each leg.  The entries that agree on the column and on the other legs
+    and whose input state lies in one weight class form a context, a
+    column for the class block of the map; each class's contexts are
+    gathered side by side, zero-padded to one shape, and each yields
+    every output state of its class, the entries of the next state.
+    Returns the gather, the _class_tables of the output states (rows)
+    and input states (cols), and the next state's entries."""
     col, idx, pos, sizes = entries
-    (in_lab, in_rank, cols), (out_lab, _, rows) = _class_tables(in_weights,
-                                                                out_weights)
+    tables = _class_tables(in_weights, out_weights)
+    (in_lab, in_rank, cols), (_, _, rows) = tables
     state = np.ravel_multi_index(tuple(idx[:, a:b].T), sizes[a:b])
     label = in_lab[state]
     others = [k for k in range(len(sizes)) if not a <= k < b]
@@ -415,137 +390,164 @@ def _step(entries, a: int, b: int, in_weights, out_weights, out_sizes):
                            idx[:, b:]))
     pos = np.ravel_multi_index((ctx_class[ctx], rank, slot[ctx]),
                                (len(rows), rows.shape[1], shape[2]))
-    return (gather, rows, cols,
-            _read_only(out_lab[:, None] != in_lab[None, :]),
+    return (gather, *tables[::-1],
             (col[first[ctx]], idx, pos, sizes[:a] + out_sizes + sizes[b:]))
 
 
 @functools.cache
 def _restriction_plan(n: int, w1: tuple, w2: tuple):
     """Index plans of fused_restriction for fused spaces of weights w1
-    (at x) and w2 (at q^n x), linear in the number of in-sector entries:
-    one (gather, rows, cols, off) per stage, p = n-1, ..., 0, with the
-    entries off of S_p that change the weight, and (gather, rows, cols,
-    entry_col, result) for the last solve, with the fused R-matrix column
-    of each entry it gathers and the gather of the fused R-matrix from
-    the solution.
+    (at x) and w2 (at q^n x), linear in the number of in-sector entries.
 
-    The state starts as the columns of B(x), read as the state
-    kron(B(x), I_d) on legs (4, ..., 4, d): only its entries whose last
-    leg matches the column's second index can be nonzero.  Stage S_p
-    takes legs (p, p+1) from (4, d) to (d, 4), and the last solve takes
-    the n vector legs to the coordinates of B(q^n x), the first leg's
-    coordinates of B(x) riding along as contexts.  An entry that no step
-    reaches is zero.
+    Stage p's chain starts from the columns (a, b) of kron(I_4,
+    B(q^(p+1) x)) on legs (p, 4, ..., 4): a stage leg, holding p, rides
+    in front of the moving leg and weighs p in a third weight component,
+    so each step runs once for all stages, its class blocks gathered from
+    the stages' R-matrix stack (rblocks).  A solve through the stacked
+    bases B(q^p x) on the vector legs and the stage leg places each entry
+    ((l, e), (a, b)) of S_p straight into the class blocks of the state
+    step, the stages end to end.  The state starts as kron(B(x), I_d) on
+    legs (4, ..., 4, d), where only entries whose last leg matches the
+    column's second index can be nonzero; S_p, p = n-1, ..., 0, takes
+    its legs (p, p+1) from (4, d) to (d, 4), and the last solve the n
+    vector legs to the coordinates of B(q^n x).  An entry that no step
+    reaches is zero.  A solve is (gather, rows, cols, entry_col, result).
     """
-    vec = np.array(vector_weights())
-    w1, w2 = np.array(w1), np.array(w2)
-    d1, d2 = len(w1), len(w2)
-    # the weight of each state of the n vector legs; B(x) holds state s
-    # in column i only where it is w1[i]
-    legs_n = product_weights((vec,) * n)
+    vec, w1, w2 = map(np.array, (vector_weights(), w1, w2))
+    d, legs_n = len(w1), product_weights((vec,) * n)
+    his = np.stack([w1] * (n - 1) + [w2])  # the weights of B(q^(p+1) x)
+    p, s, b = (np.repeat(t, 4) for t in np.nonzero(
+        (legs_n[None, :, None] == his[:, None]).all(axis=-1)))
+    a = np.tile(np.arange(4), len(p) // 4)
+    entries = ((p * 4 + a) * d + b,
+               np.column_stack((p, a, *np.unravel_index(s, (4,) * n))),
+               (p * 4 ** n + s) * d + b, (n,) + (4,) * (n + 1))
+    vec3, w3 = (np.column_stack((w, 0 * w[:, 0])) for w in (vec, w1))
+    tag = np.column_stack((np.zeros((n, 2), int), np.arange(n)))
+    chain = []
+    for i in range(n):
+        gather, (_, _, rows), (_, _, cols), entries = _step(
+            entries, i, i + 3, product_weights((tag, vec3, vec3)),
+            product_weights((vec3, tag, vec3)), (4, n, 4))
+        chain.append(gather)
+    # block (c, r, k) of step i is entry (rows[c, r], cols[c, k]) of the
+    # R-matrix of step i of the class's stage
+    c, r, k = np.nonzero((rows[:, :, None] >= 0) & (cols[:, None, :] >= 0))
+    jo, p, ko = np.unravel_index(rows[c, r], (4, n, 4))
+    i = np.arange(n)[:, None]
+    src = np.ravel_multi_index((p, i, jo, ko) + np.unravel_index(
+        cols[c, k], (n, 4, 4))[1:], (n, n, 4, 4, 4, 4))
+    shape = (n, *rows.shape, cols.shape[1])
+    rblocks = _Gather(shape, src.ravel(),
+                      np.ravel_multi_index((i, c, r, k), shape).ravel())
+    gather, (_, _, rows), (_, _, cols), (col, idx, spos, _) = _step(
+        entries, 0, n + 1, product_weights((vec3,) * n + (tag,)),
+        product_weights((w3, tag)), (d, n))
+    stage_solve = (gather, rows, cols, _read_only(entries[0]))
     s, i = np.nonzero((legs_n[:, None] == w1[None]).all(axis=-1))
-    j = np.tile(np.arange(d2), len(s))
-    idx = np.column_stack(np.unravel_index(np.repeat(s, d2), (4,) * n) + (j,))
-    entries = (np.repeat(i, d2) * d2 + j, idx, np.repeat(s * d1 + i, d2),
-               (4,) * n + (d2,))
-    stages = []
+    j = np.tile(np.arange(d), len(s))
+    entries = (np.repeat(i, d) * d + j,
+               np.column_stack(np.unravel_index(np.repeat(s, d), (4,) * n)
+                               + (j,)),
+               np.repeat(s * d + i, d), (4,) * n + (d,))
+    stages, dst, start = [], np.empty(len(col), int), 0
     for p in reversed(range(n)):
-        hi = w2 if p == n - 1 else w1
-        # pair states a * dim(hi) + b on legs (4, hi), l * 4 + e on (lo, 4)
-        *stage, entries = _step(entries, p, p + 2,
-                                (vec[:, None] + hi[None]).reshape(-1, 2),
-                                (w1[:, None] + vec[None]).reshape(-1, 2),
-                                (d1, 4))
-        stages.append(tuple(stage))
-    # column b of B(q^n x) has weight w2[b]
-    gather, rows, cols, _, (col, idx, pos, _) = _step(entries, 1, n + 1,
-                                                      legs_n, w2, (d2,))
-    # entry (l, b) of the solution's column col is entry ((l, b), col) of
-    # the fused R-matrix
-    d = d1 * d2
-    result = _Gather((d, d), pos, np.ravel_multi_index(
-        (idx[:, 0] * d2 + idx[:, 1], col), (d, d)))
-    return tuple(stages), (gather, rows, cols, _read_only(entries[0]),
-                           result)
+        gather, (olab, orank, rows), (_, irank, cols), entries = _step(
+            entries, p, p + 2, (vec[:, None] + his[p][None]).reshape(-1, 2),
+            (w1[:, None] + vec[None]).reshape(-1, 2), (d, 4))
+        shape = (len(rows), rows.shape[1], cols.shape[1])
+        # the stage solve's col is (p, a, b) and its idx (l, p, e)
+        at = idx[:, 1] == p
+        out = idx[at, 0] * 4 + idx[at, 2]
+        dst[at] = start + np.ravel_multi_index(
+            (olab[out], orank[out], irank[col[at] % (4 * d)]), shape)
+        stages.append((gather, slice(start, start + math.prod(shape)), shape))
+        start += math.prod(shape)
+    # column b of B(q^n x) has weight w2[b]; entry (l, b) of the
+    # solution's column col is entry ((l, b), col) of the fused R-matrix
+    gather, (_, _, rows), (_, _, cols), (col, idx, pos, _) = _step(
+        entries, 1, n + 1, legs_n, w2, (d,))
+    result = _Gather((d * d, d * d), pos, np.ravel_multi_index(
+        (idx[:, 0] * d + idx[:, 1], col), (d * d, d * d)))
+    stage_solve += (_Gather((start,), spos, dst),)
+    pair = _class_tables(product_weights((vec, vec)))[0][0]
+    return (tuple(chain), rblocks, stage_solve,
+            _read_only(pair[:, None] != pair), tuple(stages),
+            (gather, rows, cols, _read_only(entries[0]), result))
 
 
-def _solve_sectors(fld, solve: tuple, space: FusedSpace, flat: np.ndarray):
-    """Solve B*S = state through the basis B of the fused space at q^n x
-    on the last n legs, one weight block of B at a time, the blocks kept
-    on that space (FusedSpace.solve); returns the fused R-matrix and the
-    relative residual ||B*S - state|| / max(||state||, ||B||), on the
-    scale of restrict_action.  Raises ValueError naming the worst column
-    of the fused R-matrix when the state leaves span(B): on the exact
-    backend through exact_solve, on the numeric one when the residual
-    does not pass INVARIANCE_TOL."""
-    gather, rows, cols, entry_col, result = solve
-    state = gather(flat)
-    if not space.solve:
-        # B takes the output states of the solve, its columns, to the
-        # input states, its rows
-        blocks = _blocks(space.basis.columns, cols, rows, fld.zero)
-        space.solve.extend((blocks, None if _is_exact(blocks)
-                            else np.linalg.pinv(blocks)))
-    blocks, inverse = space.solve
+def _solve_sectors(fld, plan: tuple, cache: list, columns: np.ndarray,
+                   flat: np.ndarray):
+    """Solve B_g S = state one weight block at a time, B_g = columns[g],
+    the input states (row of B_g, g) and the output states (coordinate,
+    g); the blocks, their pinv and squared norms are made once, in cache.
+    Returns the solution, placed by result, and the relative residual,
+    worst over g of ||B_g S - state|| / max(||state||, ||B_g||), as in
+    restrict_action.  Raises ValueError naming the worst column when the
+    state leaves the span: on the exact backend through exact_solve, on
+    the numeric one when the residual does not pass INVARIANCE_TOL."""
+    gather, rows, cols, entry_col, result = plan
+    state, k = gather(flat), len(columns)
+    group = cols[:, 0] % k
+
+    def squares(a):  # the squared norm per g
+        return np.bincount(group, (a.view(float) ** 2).sum((1, 2)), k)
+
+    if not cache:
+        # B_g takes the output states, its columns, to the input states
+        blocks = np.where((cols[:, :, None] >= 0) & (rows[:, None, :] >= 0),
+                          columns[cols[:, :, None] % k, cols[:, :, None] // k,
+                                  rows[:, None, :] // k], fld.zero)
+        cache.extend((blocks, None, None) if _is_exact(blocks) else
+                     (blocks, np.linalg.pinv(blocks), squares(blocks)))
+    blocks, inverse, norms = cache
     rel = 0.0
     if _is_exact(state):
         sol = fld.zeros((len(rows), rows.shape[1], state.shape[2]))
-        for c, (r, k) in enumerate(zip((cols >= 0).sum(axis=1),
+        for c, (r, m) in enumerate(zip((cols >= 0).sum(axis=1),
                                        (rows >= 0).sum(axis=1))):
-            sol[c, :k] = exact_solve(blocks[c, :r, :k], state[c, :r])
+            sol[c, :m] = exact_solve(blocks[c, :r, :m], state[c, :r])
     else:
         sol = matmul(inverse, state)
         delta = matmul(blocks, sol)
         delta -= state
-        scale = max(frobenius(state), frobenius(space.basis.columns),
-                    1e-300)
-        rel = frobenius(delta) / scale
+        scale = np.maximum(np.sqrt(np.maximum(squares(state), norms)), 1e-300)
+        rel = float((np.sqrt(squares(delta)) / scale).max())
         if not passes(rel, False, INVARIANCE_TOL):
-            norms = np.sqrt(np.bincount(
-                entry_col, np.abs(delta.reshape(-1)[gather.dst]) ** 2))
-            worst = int(np.argmax(norms))
+            share = np.abs(delta.reshape(-1)[gather.dst]) / scale[
+                group[gather.dst // delta[0].size]]
+            by_col = np.sqrt(np.bincount(entry_col, share ** 2))
+            worst = int(np.argmax(by_col))
             raise ValueError(
                 f"subspace is not invariant: column {worst} has relative "
-                f"residual {norms[worst] / scale:.3e}")
+                f"residual {by_col[worst]:.3e}")
     return result(sol.reshape(-1)), rel
 
 
 def fused_restriction(fld, n: int, u, v, x, sign: int, spaces=None):
     """The chained R-matrix over the block swap, restricted to the fused
     subspace pair at (x, q^n x); returns it with its residual and the
-    off-sector share of its stages.
+    off-class share of its elementary R-matrices.
 
     The canonical word of the block swap, applied right to left, moves
     leg p = n-1, ..., 0 of block 1 through all of block 2, which then
     sits on legs p+1, ..., p+n in the fused space at q^(p+1) x and is
     carried to legs p, ..., p+n-1 in the one at q^p x (the order of
-    Kulish, Reshetikhin and Sklyanin).  Each stage is one chain over n+1
-    legs, restricted once to a (d*4) x (4*d) matrix S_p, which takes
-    legs (p, p+1) of the state kron(B(x), I_d) from (4, d) to (d, 4);
-    the chain's action is solved through B(q^p x) alone, its last vector
-    leg riding along as extra columns.  A last solve through B(q^n x)
-    finishes.  The spaces at q x, ..., q^(n-1) x are twisted from the
-    one at x (_twisted_basis), once per space (FusedSpace.twisted), so
-    their left inverses carry over to the next build from that space;
-    only the pair is built from symmetrizers.
+    Kulish, Reshetikhin and Sklyanin): a chain over n+1 legs, restricted
+    to a (d*4) x (4*d) matrix S_p on legs (p, p+1) of the state
+    kron(B(x), I_d).  A last solve through B(q^n x) finishes.  The bases
+    at q^p x are twisted from B(x) (_twisted_basis).  Every map conserves
+    the joint (K_1, K_3) weight and acts one class at a time through
+    cached plans (_restriction_plan): the n stages as one batch, from one
+    stack of R-matrices (vector_rmatrix) and one solve through the
+    stacked bases, kept with their blocks on the spaces (FusedSpace).
 
-    Every stage conserves the joint (K_1, K_3) weight, so each column of
-    the state, a pair of fused basis vectors, lives on the states of its
-    own total weight, and only those entries are kept.  S_p acts as one
-    small block per weight class of its two legs, all blocks in one
-    batched matmul over the contexts of each class, and the last solve
-    runs one weight block of B(q^n x) at a time (exact_solve on the
-    exact backend).  The index plans depend only on n and the weights of
-    the two fused spaces and are cached (_restriction_plan).
-
-    The entries of S_p that change the weight of its legs are left out;
-    their share ||S_off|| / ||S_p|| (exact: inf if any is nonzero),
-    worst over the stages, is returned as the off-sector share.  Raises
-    FusedZeroError when u/v is at a zero of R (fused_zero), and
+    The entries of an R-matrix that change the weight of its two legs
+    are left out; their share ||R_off|| / ||R|| (exact: inf if any is
+    nonzero), worst over the steps, is returned as the off-class share.
+    Raises FusedZeroError when u/v is at a zero of R (fused_zero), and
     ValueError if a stage or the last solve is not invariant; the
-    residual returned is the worst over the stages, the last solve and
-    the off-sector share.
+    residual is the worst of the two solves and the off-class share.
     """
     k = fused_zero(fld, n, sign, u, v)
     if k is not None:
@@ -555,29 +557,31 @@ def fused_restriction(fld, n: int, u, v, x, sign: int, spaces=None):
                   fused_space(fld, n, fld.q_power(n) * x, sign))
     sp1, sp2 = spaces
     if not sp1.twisted:
-        sp1.twisted.extend(_twisted_basis(fld, sp1.basis, fld.q_power(p), n)
-                           for p in range(1, n))
-    bases = [sp1.basis, *sp1.twisted, sp2.basis]
+        sp1.twisted.append(np.stack([sp1.basis.columns] + [
+            _twisted_basis(fld, sp1.basis, fld.q_power(p), n).columns
+            for p in range(1, n)]))
+    stack, = sp1.twisted
     gam = Permutation.reversal(n)
     prof = q_profile(fld, n, sign)
     a = concat_tuples(gam.act(tuple(u * p for p in prof)),
                       gam.act(tuple(v * p for p in prof)))
-    cycle = Permutation([n] + list(range(n)))
-    stages, solve = _restriction_plan(n, sp1.weights, sp2.weights)
+    chain, rblocks, stage_solve, outside, stages, solve = _restriction_plan(
+        n, sp1.weights, sp2.weights)
+    # stage p moves a[p] past a[n:], step i at legs (i, i+1) at q^(p+i) x
+    rs = vector_rmatrix(fld, [[a[p]] * n for p in range(n)], [a[n:]] * n,
+                        [[fld.q_power(i) * (fld.q_power(p) * x)
+                          for i in range(n)] for p in range(n)])
+    off = max(residual(rs[:, i][:, outside], [rs[:, i]]) for i in range(n))
+    flat = np.concatenate((stack[1:].ravel(), sp2.basis.columns.ravel()))
+    for gather, blocks in zip(chain, rblocks(rs.reshape(-1))):
+        flat = matmul(blocks, gather(flat)).reshape(-1)
+    smat, worst = _solve_sectors(fld, stage_solve, sp1.stages, stack, flat)
     flat = sp1.basis.columns.reshape(-1)
-    worst = off = 0.0
-    for p, (gather, rows, cols, outside) in zip(reversed(range(n)), stages):
-        lo, hi = bases[p], bases[p + 1]
-        action = apply_chain(fld, (a[p],) + a[n:], fld.q_power(p) * x, cycle,
-                             kron(fld.eye(4), hi.columns))
-        stage, rel = restrict_action(lo, action.reshape(lo.ambient, -1))
-        stage = stage.reshape(4 * lo.dim, -1)
-        worst = max(worst, rel)
-        off = max(off, residual(stage[outside], [stage]))
-        flat = matmul(_blocks(stage, rows, cols, fld.zero),
-                      gather(flat)).reshape(-1)
+    for gather, part, shape in stages:
+        flat = matmul(smat[part].reshape(shape), gather(flat)).reshape(-1)
     # block 1, now on the last n legs, lies in the fused space at q^n x
-    small, rel = _solve_sectors(fld, solve, sp2, flat)
+    small, rel = _solve_sectors(fld, solve, sp2.solve,
+                                sp2.basis.columns[None], flat)
     return (Operator(small, (sp1.dim, sp2.dim), (sp1.weights, sp2.weights)),
             max(worst, rel, off), off)
 
@@ -611,13 +615,11 @@ def fused_zero(fld, n: int, sign: int, u, v):
 
 def fused_builder(fld, n: int, sign: int, residuals: list) -> RMatrixBuilder:
     """Builder over the fused family; caches fused spaces per parameter,
-    so the builds at x and q^n x share the space at q^n x.
-
-    The cache is a short list searched with ==, which compares complex
-    parameters by value and exact ones as rational functions (they are
-    not hashable).  Each build appends the residual and the off-sector
-    share of its restriction to residuals, as a pair.
-    """
+    so the builds at x and q^n x share the space at q^n x.  The cache is a
+    short list searched with ==, which compares complex parameters by
+    value and exact ones as rational functions (they are not hashable).
+    Each build appends its restriction's residual and off-class share to
+    residuals, as a pair."""
     cache = []
 
     def space_at(y):
@@ -643,14 +645,13 @@ def check_projector_commutation(fld, n: int, u, v, x, sign: int,
     """Block-swap chain commutes with the doubled symmetrizer, probed.
 
     Both sides act on one fixed random complex block g of 16^n x k
-    (details.k = 4, details.probe_seed = 0), so neither is formed on
-    all 2n legs: S1 (x) S2 as two n-leg products, the chains through
+    (details.k = 4, details.probe_seed = 0), so neither is formed on all
+    2n legs: S1 (x) S2 as two n-leg products, the chains through
     apply_chain (Freivalds, IFIP Congress 1977).  The residual is
-    normalized by the probed side ||chain (S1 (x) S2) g||, not by the
-    dense one; on the exact backend g holds integers and the residual is
-    exactly 0 or inf.  sabotage_shift misplaces the second-block
-    parameter by one extra power of q, a negative control pinning the
-    q^n shift.
+    normalized by the probed side ||chain (S1 (x) S2) g||; on the exact
+    backend g holds integers and it is exactly 0 or inf.  sabotage_shift
+    misplaces the second-block parameter by one extra power of q, a
+    negative control pinning the q^n shift.
     """
     import random
 
@@ -736,9 +737,8 @@ def check_fused_ybe(fld, n: int, sign: int, u, v, w, x, tol: float = 1e-8,
 
     The factors are assembled from weight-class blocks, so their own
     off-sector share is 0 and says nothing; what the restriction left
-    out is the off-sector share of its stage matrices S_p.  The worst of
-    those over the six factors is details.off_sector (numeric) and is
-    part of the residual, as the factors' share is in ybe_residual.
+    out is the off-class share of its R-matrices, whose worst over the
+    six factors is details.off_sector (numeric) and part of the residual.
     details.restriction_residual is the worst restriction residual of
     the six factors, the share included.
     """

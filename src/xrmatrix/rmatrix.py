@@ -10,6 +10,7 @@ are cross-checked entrywise on both backends.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -21,7 +22,7 @@ from .reports import CheckReport
 from .superalgebra import GENERATORS, tensor_square_bases, tuple_rep
 from .tensorops import (Operator, _Gather, _is_exact, _read_only,
                         exact_inverse, frobenius, matmul, max_term_count,
-                        passes, product_weights, residual)
+                        passes, product_weights, residual, scaled)
 
 
 def tensor_projectors(fld, x):
@@ -44,40 +45,58 @@ def vector_rmatrix_spectral(fld, u, v, x) -> Operator:
     """Eigenvalue form: (q^2 u - v) P1 + (q^2 v - u) P2."""
     q2 = fld.q_power(2)
     p1, p2 = tensor_projectors(fld, x)
-    return Operator(p1.mat * (q2 * u - v) + p2.mat * (q2 * v - u), (4, 4))
+    return Operator(scaled(p1.mat, q2 * u - v) + scaled(p2.mat, q2 * v - u),
+                    (4, 4))
 
 
 def _flat(i: int, j: int) -> int:
     return 4 * (i - 1) + (j - 1)
 
 
-def vector_rmatrix(fld, u, v, x) -> Operator:
-    """Explicit entry table of the vector R-matrix (canonical path)."""
-    q = fld.q
-    q2 = fld.q_power(2)
-    one = fld.one
-    r = fld.zeros((16, 16))
-    for i in (1, 2):
-        r[_flat(i, i), _flat(i, i)] = q2 * v - u
-    for i in (3, 4):
-        r[_flat(i, i), _flat(i, i)] = q2 * u - v
-    for i in range(1, 5):
-        for j in range(i + 1, 5):
-            r[_flat(i, j), _flat(i, j)] = (q2 - one) * v
-            r[_flat(j, i), _flat(j, i)] = (q2 - one) * u
-    for i in range(1, 5):
-        for j in range(1, 5):
-            if i == j:
-                continue
-            sgn = fld.from_int((-1) ** (theta(i) * theta(j)))
-            # E_ij (x) E_ji maps e_j (x) e_i to e_i (x) e_j
-            r[_flat(i, j), _flat(j, i)] = -q * (u - v) * sgn
+def _entries(fld, u, v, x) -> tuple:
+    """The nine distinct entries of the vector R-matrix by scalar
+    arithmetic, the x-terms added to zero as an entry loop adds them."""
+    q, q2, one = fld.q, fld.q_power(2), fld.one
+    swap = -q * (u - v)
     xc = x * (q2 - one) * (u - v)
-    r[_flat(3, 4), _flat(1, 2)] = r[_flat(3, 4), _flat(1, 2)] + xc * q
-    r[_flat(3, 4), _flat(2, 1)] = r[_flat(3, 4), _flat(2, 1)] - xc * q2
-    r[_flat(4, 3), _flat(1, 2)] = r[_flat(4, 3), _flat(1, 2)] - xc
-    r[_flat(4, 3), _flat(2, 1)] = r[_flat(4, 3), _flat(2, 1)] + xc * q
-    return Operator(r, (4, 4), (vector_weights(),) * 2)
+    return (q2 * v - u, q2 * u - v, (q2 - one) * v, (q2 - one) * u,
+            swap * fld.from_int(1), swap * fld.from_int(-1),
+            fld.zero + xc * q, fld.zero - xc * q2, fld.zero - xc)
+
+
+@functools.cache
+def _entry_table():
+    """The flat positions of the 32 nonzero entries of the vector
+    R-matrix and the index of each value among _entries."""
+    table = {}
+    for i, j in itertools.product(range(1, 5), repeat=2):
+        if i == j:
+            table[_flat(i, i), _flat(i, i)] = 0 if i < 3 else 1
+        else:
+            table[_flat(i, j), _flat(i, j)] = 2 if i < j else 3
+            # E_ij (x) E_ji, with the sign (-1)^(theta(i) theta(j))
+            table[_flat(i, j), _flat(j, i)] = 4 + theta(i) * theta(j)
+    # the x-terms: e_1 (x) e_2 and e_2 (x) e_1 to e_3 (x) e_4 and e_4 (x) e_3
+    for row, ks in ((_flat(3, 4), (6, 7)), (_flat(4, 3), (8, 6))):
+        table[row, _flat(1, 2)], table[row, _flat(2, 1)] = ks
+    return tuple(_read_only(np.array(t)) for t in zip(*(
+        (r * 16 + c, k) for (r, c), k in table.items())))
+
+
+def vector_rmatrix(fld, u, v, x):
+    """Explicit entry table of the vector R-matrix (canonical path): each
+    distinct entry is computed once per point and placed by a cached
+    table.  The Operator at scalar u, v, x; when any is an array, they
+    broadcast to a shape S and the result is the S + (16, 16) stack."""
+    args = np.broadcast_arrays(*(np.asarray(a, fld.dtype) for a in (u, v, x)))
+    vals = np.array([_entries(fld, *p) for p in
+                     zip(*(a.ravel().tolist() for a in args))], fld.dtype)
+    pos, idx = _entry_table()
+    r = fld.zeros((len(vals), 256))
+    r[:, pos] = vals[:, idx]
+    if args[0].ndim:
+        return r.reshape(args[0].shape + (16, 16))
+    return Operator(r.reshape(16, 16), (4, 4), (vector_weights(),) * 2)
 
 
 def check_forms_equal(fld, u, v, x, tol: float = 1e-12) -> CheckReport:
@@ -227,14 +246,15 @@ def _sector_plan(weights):
 def _sector_sides(mats):
     """For each stack of equal-size weight sectors of the three legs:
     their states, sector after sector and each in increasing flat index,
-    and the stacked (count, k, k) sector blocks of the two sides
-    A_12 (B_23 C_12) and D_23 (E_12 F_23)."""
+    and the (count, k, k) sector blocks of the sides A_12 (B_23 C_12) and
+    D_23 (E_12 F_23), each factor gathered just before its product."""
     _, weights = _ybe_legs(mats)
     flats = [op.mat.reshape(-1) for op in mats]
     for states, gathers in _sector_plan(weights)[1]:
-        a, b, c, d, e, f = (gathers[pos - 1](flat)
+        a, b, c, d, e, f = (functools.partial(gathers[pos - 1], flat)
                             for flat, pos in zip(flats, _YBE_POSITIONS))
-        yield states, matmul(a, matmul(b, c)), matmul(d, matmul(e, f))
+        lhs = matmul(a(), matmul(b(), c()))
+        yield states, lhs, matmul(d(), matmul(e(), f()))
 
 
 def ybe_residual(mats, details: dict = None) -> float:

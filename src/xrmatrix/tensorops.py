@@ -9,10 +9,10 @@ arrays of RationalFunction entries.  Every matrix product goes through
 matmul: on complex arrays it is one np.matmul call, on object arrays it
 forms only the products of two nonzero entries and sums them in the
 order np.matmul would, so each exact entry comes out as the same
-unreduced rational function; kron follows the same rule.  A two-leg
-operator acts on a tensor product through apply_at_legs, which never
-forms the identity-padded embedding.  restrict_action solves for the
-matrix of an operator on an invariant subspace through one basis of
+unreduced rational function; kron and scaled follow the same rule.  A
+two-leg operator acts on a tensor product through apply_at_legs, which
+never forms the identity-padded embedding.  restrict_action solves for
+the matrix of an operator on an invariant subspace through one basis of
 that subspace.
 
 An operator may carry the weight of each basis vector of each leg.  The
@@ -68,14 +68,23 @@ class _Gather:
             int(idx.max(initial=0))))) for idx in (src, dst))
 
     def __call__(self, flat: np.ndarray) -> np.ndarray:
-        out = np.full(self.shape, _RF_ZERO if _is_exact(flat) else 0,
-                      dtype=flat.dtype)
+        out = (np.full(self.shape, _RF_ZERO, dtype=object) if _is_exact(flat)
+               else np.zeros(self.shape, flat.dtype))
         out.reshape(-1)[self.dst] = flat[self.src]
         return out
 
 
 def frobenius(mat: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(mat, dtype=np.complex128)))
+    return math.sqrt(np.vdot(mat, mat).real)
+
+
+def scaled(mat: np.ndarray, s) -> np.ndarray:
+    """mat * s; on object arrays only nonzero entries are multiplied, and
+    the rest stay the exact zero, as in mat * s."""
+    if not _is_exact(mat):
+        return mat * s
+    return np.fromiter((e * s if e.num.terms else _RF_ZERO for e in mat.flat),
+                       object, mat.size).reshape(mat.shape)
 
 
 def exact_all_zero(mat: np.ndarray) -> bool:
@@ -208,7 +217,7 @@ class Operator:
         return Operator(matmul(self.mat, other.mat), self.legs)
 
     def scaled(self, s) -> "Operator":
-        return Operator(self.mat * s, self.legs, self.weights)
+        return Operator(scaled(self.mat, s), self.legs, self.weights)
 
 
 @dataclass(frozen=True)

@@ -423,6 +423,62 @@ def _dense_staged_route(fld, n, u, v, x, sign):
         sp1.dim * sp2.dim, -1)
 
 
+def _dense_stages(fld, n, u, v, x, sign, spaces):
+    """The stage matrices S_p, p = 0, ..., n-1, by the dense route: the
+    chain over n+1 legs on kron(I_4, B(q^(p+1) x)), then restrict_action
+    through B(q^p x), the last vector leg riding along as columns."""
+    sp1, sp2 = spaces
+    bases = ([sp1.basis]
+             + [_twisted_basis(fld, sp1.basis, fld.q_power(p), n)
+                for p in range(1, n)]
+             + [sp2.basis])
+    gam = Permutation.reversal(n)
+    prof = q_profile(fld, n, sign)
+    a = concat_tuples(gam.act(tuple(u * p for p in prof)),
+                      gam.act(tuple(v * p for p in prof)))
+    cycle = Permutation([n] + list(range(n)))
+    out = []
+    for p in range(n):
+        lo, hi = bases[p], bases[p + 1]
+        action = apply_chain(fld, (a[p],) + a[n:], fld.q_power(p) * x, cycle,
+                             np.kron(fld.eye(4), hi.columns))
+        stage = restrict_action(lo, action.reshape(lo.ambient, -1))[0]
+        out.append(stage.reshape(4 * lo.dim, -1))
+    return out
+
+
+def _sector_stages(fld, n, u, v, x, sign, spaces, monkeypatch):
+    """The stage matrices S_p of fused_restriction, p = 0, ..., n-1, read
+    back from the class blocks its stage solve emits."""
+    emitted = []
+    solve = fusion._solve_sectors
+
+    def spy(*args):
+        out = solve(*args)
+        emitted.append(out[0])
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(fusion, "_solve_sectors", spy)
+        fused_restriction(fld, n, u, v, x, sign, spaces)
+    vec = np.array(vector_weights())
+    w1, w2 = (np.array(sp.weights) for sp in spaces)
+    plan = fusion._restriction_plan(n, *(sp.weights for sp in spaces))
+    out = {}
+    for p, (_, part, shape) in zip(reversed(range(n)), plan[4]):
+        hi = w2 if p == n - 1 else w1
+        (_, _, cols), (_, _, rows) = fusion._class_tables(
+            (vec[:, None] + hi[None]).reshape(-1, 2),
+            (w1[:, None] + vec[None]).reshape(-1, 2))
+        blocks = emitted[0][part].reshape(shape)
+        c, r, k = np.nonzero((rows[:, :, None] >= 0)
+                             & (cols[:, None, :] >= 0))
+        stage = fld.zeros((4 * len(w1), 4 * len(hi)))
+        stage[rows[c, r], cols[c, k]] = blocks[c, r, k]
+        out[p] = stage
+    return [out[p] for p in range(n)]
+
+
 class TestFusedRMatrix:
     @pytest.mark.parametrize("seed", (0, 7))
     def test_sector_route_matches_dense_staged_route(self, seed):
@@ -434,6 +490,51 @@ class TestFusedRMatrix:
                 got = fused_rmatrix(fld, n, ps.u, ps.v, ps.x, sign).mat
                 assert (np.linalg.norm(got - ref)
                         < 1e-12 * np.linalg.norm(ref)), (n, sign)
+
+    @pytest.mark.parametrize("seed", (0, 7))
+    def test_sector_stages_match_dense_stages(self, seed, monkeypatch):
+        ps = sample_params(seed)
+        fld = NumericField(ps.q)
+        for n in (1, 2, 3, 4):
+            for sign in (1, -1):
+                spaces = (fused_space(fld, n, ps.x, sign),
+                          fused_space(fld, n, fld.q_power(n) * ps.x, sign))
+                args = (fld, n, ps.u, ps.v, ps.x, sign, spaces)
+                for got, ref in zip(_sector_stages(*args, monkeypatch),
+                                    _dense_stages(*args), strict=True):
+                    assert (np.linalg.norm(got - ref)
+                            < 1e-12 * np.linalg.norm(ref)), (n, sign)
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_sector_stages_match_dense_stages_exact(self, ef, sign,
+                                                    monkeypatch):
+        spaces = (fused_space(ef, 2, ef.x, sign),
+                  fused_space(ef, 2, ef.q_power(2) * ef.x, sign))
+        args = (ef, 2, ef.u, ef.v, ef.x, sign, spaces)
+        for got, ref in zip(_sector_stages(*args, monkeypatch),
+                            _dense_stages(*args), strict=True):
+            assert got.shape == ref.shape == (32, 32)
+            assert all(a == b for a, b in zip(got.flat, ref.flat))
+
+    def test_non_invariant_stage_names_a_column(self, nf, ps, monkeypatch):
+        # the space at q^(n+1) x in place of the one at q^n x: the chain
+        # of stage n-1 then leaves span(B(q^(n-1) x)), and the stage
+        # solve, the first solve, raises
+        n, sign = 2, 1
+        wrong = (fused_space(nf, n, ps.x, sign),
+                 fused_space(nf, n, nf.q_power(n + 1) * ps.x, sign))
+        calls = []
+        solve = fusion._solve_sectors
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(fusion, "_solve_sectors", counting)
+        with pytest.raises(ValueError, match=r"not invariant: column \d+ "
+                                             r"has relative residual"):
+            fused_restriction(nf, n, ps.u, ps.v, ps.x, sign, wrong)
+        assert len(calls) == 1
 
     def test_staged_restriction_matches_kron_route(self, nf, ps):
         for n in (2, 3):
@@ -696,7 +797,9 @@ class TestFusedYBE:
     def test_last_solve_blocks_are_inverted_once_per_space(self, nf, ps,
                                                             monkeypatch):
         # the six builds end in the spaces at q^2 x and q^4 x, so two
-        # batched pinv of their weight blocks serve all six last solves
+        # batched pinv of their weight blocks serve all six last solves;
+        # they start in those at x and q^2 x, whose stacked stage bases
+        # take two more for all six stage solves
         batched = []
         pinv = np.linalg.pinv
 
@@ -707,35 +810,32 @@ class TestFusedYBE:
         monkeypatch.setattr(np.linalg, "pinv", counting)
         report = check_fused_ybe(nf, 2, 1, ps.u, ps.v, ps.w, ps.x)
         assert report.passed
-        assert sum(batched) == 2
+        assert sum(batched) == 4
 
     def test_off_sector_stage_entry_fails(self, nf, ps, ef, monkeypatch):
-        # the sector route leaves out the entries of a stage matrix S_p
-        # that change the weight of its two legs, so only their share
-        # can see one planted there
-        vec = vector_weights()
+        # the sector route leaves out the entries of an elementary
+        # R-matrix that change the weight of its two legs, so only their
+        # share can see one planted in each R-matrix of the stages'
+        # (stage, step) stack
+        pair = product_weights((vector_weights(),) * 2)
+        i, j = np.argwhere((pair[:, None] != pair[None]).any(axis=-1))[0]
 
         def planting(value):
-            def restrict_stage(lo, action):
-                stage, rel = restrict_action(lo, action)
-                # the last vector leg rides along in the columns
-                n = round(math.log(lo.ambient, 4))
-                rows = product_weights(
-                    (column_weights(lo.columns, (vec,) * n), vec))
-                cols = np.array(column_weights(
-                    action.reshape(4 * lo.ambient, -1), (vec,) * (n + 1)))
-                i, j = np.argwhere((rows[:, None] != cols).any(axis=-1))[0]
-                stage = stage.reshape(4 * lo.dim, -1).copy()
-                stage[i, j] = value(stage)
-                return stage.reshape(lo.dim, -1), rel
+            def stack(fld, u, v, x):
+                out = vector_rmatrix(fld, u, v, x)
+                if isinstance(out, np.ndarray) and out.ndim == 4:
+                    out = out.copy()
+                    for r in out.reshape(-1, 16, 16):
+                        r[i, j] = value(r)
+                return out
 
-            return restrict_stage
+            return stack
 
         args = (nf, 2, ps.u, ps.v, ps.x, 1)
         clean = fused_restriction(*args)
         assert 0 <= clean[2] < 1e-12
         with monkeypatch.context() as m:
-            m.setattr(fusion, "restrict_action", planting(
+            m.setattr(fusion, "vector_rmatrix", planting(
                 lambda s: 1e-6 * np.linalg.norm(s)))
             rmat, rel, off = fused_restriction(*args)
             assert np.array_equal(rmat.mat, clean[0].mat)
@@ -747,7 +847,7 @@ class TestFusedYBE:
         assert report.details["off_sector"] == pytest.approx(1e-6, rel=1e-3)
         assert report.residual == report.details["off_sector"]
         assert report.details["restriction_residual"] >= report.residual
-        monkeypatch.setattr(fusion, "restrict_action",
+        monkeypatch.setattr(fusion, "vector_rmatrix",
                             planting(lambda s: ef.one))
         report = check_fused_ybe(ef, 1, 1, ef.u, ef.v, ef.w, ef.x)
         assert not report.passed

@@ -6,6 +6,7 @@ from xrmatrix import (NumericField, Operator, check_dynamical_ybe,
                       check_twisted_ybe, fused_builder, sample_params,
                       tensor_projectors, tuple_rep, vector_builder,
                       vector_rmatrix, vector_rmatrix_spectral, ybe_residual)
+from xrmatrix.cartan import theta
 from xrmatrix.rmatrix import _sector_sides, twisted_ybe_factors
 from xrmatrix.tensorops import exact_all_zero, passes, product_weights
 
@@ -45,11 +46,48 @@ def _terms(mat):
     return [(s.num.terms, s.den.terms) for s in mat.flat]
 
 
+def _ordered_terms(mat):
+    """Each entry's num and den terms as lists, in insertion order."""
+    return [[list(t.items()) for t in pair] for pair in _terms(mat)]
+
+
 def _off_sector_entry(op):
     """The first (row, column) of op that changes the total weight."""
     pair = product_weights(op.weights)
     off = np.argwhere((pair[:, None] != pair[None]).any(axis=-1))
     return tuple(off[0])
+
+
+def _entry_loop(fld, u, v, x):
+    """Reference: the vector R-matrix transcribed entry by entry, each
+    entry computed where it is placed."""
+    q, q2, one = fld.q, fld.q_power(2), fld.one
+    r = fld.zeros((16, 16))
+    for i in (1, 2):
+        r[_flat(i, i), _flat(i, i)] = q2 * v - u
+    for i in (3, 4):
+        r[_flat(i, i), _flat(i, i)] = q2 * u - v
+    for i in range(1, 5):
+        for j in range(i + 1, 5):
+            r[_flat(i, j), _flat(i, j)] = (q2 - one) * v
+            r[_flat(j, i), _flat(j, i)] = (q2 - one) * u
+    for i in range(1, 5):
+        for j in range(1, 5):
+            if i != j:
+                sgn = fld.from_int((-1) ** (theta(i) * theta(j)))
+                r[_flat(i, j), _flat(j, i)] = -q * (u - v) * sgn
+    xc = x * (q2 - one) * (u - v)
+    r[_flat(3, 4), _flat(1, 2)] = r[_flat(3, 4), _flat(1, 2)] + xc * q
+    r[_flat(3, 4), _flat(2, 1)] = r[_flat(3, 4), _flat(2, 1)] - xc * q2
+    r[_flat(4, 3), _flat(1, 2)] = r[_flat(4, 3), _flat(1, 2)] - xc
+    r[_flat(4, 3), _flat(2, 1)] = r[_flat(4, 3), _flat(2, 1)] + xc * q
+    return r
+
+
+def _bits(mat):
+    """The bytes of a complex array: equal only if bitwise equal, signed
+    zeros included."""
+    return np.ascontiguousarray(mat).view(np.uint64).tobytes()
 
 
 def _basis_vec(i, j):
@@ -114,6 +152,43 @@ class TestExplicitForm:
         for row in (_flat(3, 4), _flat(4, 3)):
             for col in (_flat(1, 2), _flat(2, 1)):
                 assert r[row, col] == 0
+
+
+class TestEntryTable:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_numeric_is_the_entry_loop_bitwise(self, seed):
+        ps = sample_params(seed)
+        fld = NumericField(ps.q)
+        for x in (ps.x, 0j, -0j, complex(0.0, -0.0)):
+            for u, v in ((ps.u, ps.v), (ps.u, ps.u), (ps.w, ps.y)):
+                assert _bits(vector_rmatrix(fld, u, v, x).mat) == _bits(
+                    _entry_loop(fld, u, v, x)), (x, u, v)
+
+    def test_exact_is_the_entry_loop_term_for_term(self, ef):
+        for u, v, x in ((ef.u, ef.v, ef.x), (ef.v, ef.u, ef.q * ef.x),
+                        (ef.from_int(2), ef.from_int(3), ef.x),
+                        (ef.u, ef.w, ef.zero)):
+            got = vector_rmatrix(ef, u, v, x).mat
+            ref = _entry_loop(ef, u, v, x)
+            # the same terms in the same insertion order
+            assert _ordered_terms(got) == _ordered_terms(ref)
+
+    def test_stacked_call_is_the_per_point_calls(self, nf, ps, ef):
+        us, vs = [ps.u, ps.v, ps.w], [ps.v, ps.w, ps.u]
+        xs = [[ps.x], [nf.q * ps.x]]
+        stack = vector_rmatrix(nf, us, vs, xs)
+        assert stack.shape == (2, 3, 16, 16)
+        for i, x in enumerate((ps.x, nf.q * ps.x)):
+            for j, (u, v) in enumerate(zip(us, vs)):
+                assert _bits(stack[i, j]) == _bits(
+                    vector_rmatrix(nf, u, v, x).mat)
+        # one array parameter broadcasts against the scalar ones
+        assert _bits(vector_rmatrix(nf, ps.u, ps.v, [ps.x])[0]) == _bits(
+            vector_rmatrix(nf, ps.u, ps.v, ps.x).mat)
+        stack = vector_rmatrix(ef, [ef.u, ef.v], ef.w, ef.x)
+        assert stack.shape == (2, 16, 16) and stack.dtype == object
+        for got, u in zip(stack, (ef.u, ef.v)):
+            assert _terms(got) == _terms(vector_rmatrix(ef, u, ef.w, ef.x).mat)
 
 
 class TestFormsAgree:
