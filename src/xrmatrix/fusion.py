@@ -9,7 +9,8 @@ symmetrizer is built one leg at a time by its coset factorization, and
 chains apply the elementary matrices along the canonical reduced word.
 The fused R-matrix restricts the block-swap chain one moving leg at a
 time and one joint (K_1, K_3) weight class at a time, through cached
-index plans, so no operator or block on all 2n legs is formed.
+index plans, so no operator or block on all 2n legs is formed.  A check
+cuts one fused space from a symmetrizer and twists it (twisted_space).
 """
 
 from __future__ import annotations
@@ -236,11 +237,12 @@ def check_fusion_constant(fld, n: int, x, sign: int, u_probes, x_probes,
             return 0.0 if a == b else math.inf
         return abs(a - b) / max(abs(b), 1e-300)
 
-    ref = fusion_constant(fld, n, u_probes[0], x, sign)
-    probes = ([(u2, x) for u2 in u_probes[1:]]
-              + [(u_probes[0], x2) for x2 in x_probes])
-    worst = max((deviation(fusion_constant(fld, n, u2, x2, sign), ref)
-                 for u2, x2 in probes), default=0.0)
+    sym = symmetrizer(fld, n, x, sign)
+    ref, *probes = ([fusion_constant(fld, n, u2, x, sign, sym=sym)
+                     for u2 in u_probes]
+                    + [fusion_constant(fld, n, u_probes[0], x2, sign)
+                       for x2 in x_probes])
+    worst = max((deviation(c, ref) for c in probes), default=0.0)
     return CheckReport(name=f"fusion-constant-{'plus' if sign > 0 else 'minus'}",
                        residual=worst, passed=passes(worst, exact, tol),
                        exact=exact,
@@ -252,15 +254,14 @@ def check_fusion_constant(fld, n: int, x, sign: int, u_probes, x_probes,
 
 @dataclass(frozen=True)
 class FusedSpace:
-    """Image of the normalized symmetrizer inside the n-fold tensor space,
-    with the (K_1, K_3) weight of each basis vector.  Made once, when a
-    restriction first needs them: twisted holds the stacked bases at q^p
-    x, p = 0, ..., n-1, twisted from this one, stages their weight blocks
-    and pinv, and solve those of this basis for a last solve."""
+    """Image of the normalized symmetrizer inside the n-fold tensor space:
+    its pivot columns (basis, with basis.pivots) and their (K_1, K_3)
+    weights.  Made once, when a restriction first needs them: stages
+    holds the weight blocks and pinv of its twists at q^p x, p = 0, ...,
+    n-1, for a stage solve, and solve those of its twist at q^n x."""
 
     basis: SubspaceBasis
     weights: tuple
-    twisted: list = field(default_factory=list, repr=False, compare=False)
     stages: list = field(default_factory=list, repr=False, compare=False)
     solve: list = field(default_factory=list, repr=False, compare=False)
 
@@ -308,18 +309,19 @@ def fused_space(fld, n: int, x, sign: int,
     return FusedSpace(basis=basis, weights=weights)
 
 
-def _twisted_basis(fld, basis: SubspaceBasis, lam, n: int) -> SubspaceBasis:
-    """A basis of the fused space at lam x from a basis B of the one at x.
+def twisted_space(fld, space: FusedSpace, lam, n: int) -> FusedSpace:
+    """The fused space at lam x, twisted from the one at x.
 
     x enters the vector R-matrix only in its entries from e_1 (x) e_2 and
-    e_2 (x) e_1 to e_3 (x) e_4 and e_4 (x) e_3, so D (x) D, D = diag(1, 1,
-    1, lam), conjugates R(u, v; x), its Hecke images and symmetrizer into
-    those at lam x, and D^(x)n B spans the fused space at lam x; being
-    diagonal, it keeps the support, so the weights, of B's columns."""
-    d = np.diagonal(fld.eye(4)).copy()
-    d[3] = lam
-    return SubspaceBasis(basis.columns
-                         * functools.reduce(np.kron, (d,) * n)[:, None])
+    e_2 (x) e_1 to e_3 (x) e_4 and e_4 (x) e_3, so E = D^(x)n, D = diag(1,
+    1, 1, lam), conjugates the symmetrizer at x into the one at lam x,
+    whose column j is E S(x)_j / E_jj: the same pivots, and the basis E B
+    with each column divided by E at its pivot.  E is diagonal, so the
+    columns keep their weights."""
+    e = functools.reduce(np.kron, (np.array([fld.one] * 3 + [lam]),) * n)
+    piv = space.basis.pivots
+    cols = space.basis.columns * e[:, None] / e[list(piv)]
+    return FusedSpace(SubspaceBasis(cols, piv), space.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +397,9 @@ def _step(entries, a: int, b: int, in_weights, out_weights, out_sizes):
 
 
 @functools.cache
-def _restriction_plan(n: int, w1: tuple, w2: tuple):
-    """Index plans of fused_restriction for fused spaces of weights w1
-    (at x) and w2 (at q^n x), linear in the number of in-sector entries.
+def _restriction_plan(n: int, w: tuple):
+    """Index plans of fused_restriction for a fused space of weights w
+    (its twists share them), linear in the number of in-sector entries.
 
     Stage p's chain starts from the columns (a, b) of kron(I_4,
     B(q^(p+1) x)) on legs (p, 4, ..., 4): a stage leg, holding p, rides
@@ -413,16 +415,16 @@ def _restriction_plan(n: int, w1: tuple, w2: tuple):
     vector legs to the coordinates of B(q^n x).  An entry that no step
     reaches is zero.  A solve is (gather, rows, cols, entry_col, result).
     """
-    vec, w1, w2 = map(np.array, (vector_weights(), w1, w2))
-    d, legs_n = len(w1), product_weights((vec,) * n)
-    his = np.stack([w1] * (n - 1) + [w2])  # the weights of B(q^(p+1) x)
+    vec, w = map(np.array, (vector_weights(), w))
+    d, legs_n = len(w), product_weights((vec,) * n)
+    support = (legs_n[:, None] == w[None]).all(axis=-1)
     p, s, b = (np.repeat(t, 4) for t in np.nonzero(
-        (legs_n[None, :, None] == his[:, None]).all(axis=-1)))
+        np.broadcast_to(support, (n, *support.shape))))
     a = np.tile(np.arange(4), len(p) // 4)
     entries = ((p * 4 + a) * d + b,
                np.column_stack((p, a, *np.unravel_index(s, (4,) * n))),
                (p * 4 ** n + s) * d + b, (n,) + (4,) * (n + 1))
-    vec3, w3 = (np.column_stack((w, 0 * w[:, 0])) for w in (vec, w1))
+    vec3, w3 = (np.column_stack((t, 0 * t[:, 0])) for t in (vec, w))
     tag = np.column_stack((np.zeros((n, 2), int), np.arange(n)))
     chain = []
     for i in range(n):
@@ -444,7 +446,7 @@ def _restriction_plan(n: int, w1: tuple, w2: tuple):
         entries, 0, n + 1, product_weights((vec3,) * n + (tag,)),
         product_weights((w3, tag)), (d, n))
     stage_solve = (gather, rows, cols, _read_only(entries[0]))
-    s, i = np.nonzero((legs_n[:, None] == w1[None]).all(axis=-1))
+    s, i = np.nonzero(support)
     j = np.tile(np.arange(d), len(s))
     entries = (np.repeat(i, d) * d + j,
                np.column_stack(np.unravel_index(np.repeat(s, d), (4,) * n)
@@ -453,8 +455,8 @@ def _restriction_plan(n: int, w1: tuple, w2: tuple):
     stages, dst, start = [], np.empty(len(col), int), 0
     for p in reversed(range(n)):
         gather, (olab, orank, rows), (_, irank, cols), entries = _step(
-            entries, p, p + 2, (vec[:, None] + his[p][None]).reshape(-1, 2),
-            (w1[:, None] + vec[None]).reshape(-1, 2), (d, 4))
+            entries, p, p + 2, (vec[:, None] + w[None]).reshape(-1, 2),
+            (w[:, None] + vec[None]).reshape(-1, 2), (d, 4))
         shape = (len(rows), rows.shape[1], cols.shape[1])
         # the stage solve's col is (p, a, b) and its idx (l, p, e)
         at = idx[:, 1] == p
@@ -463,10 +465,10 @@ def _restriction_plan(n: int, w1: tuple, w2: tuple):
             (olab[out], orank[out], irank[col[at] % (4 * d)]), shape)
         stages.append((gather, slice(start, start + math.prod(shape)), shape))
         start += math.prod(shape)
-    # column b of B(q^n x) has weight w2[b]; entry (l, b) of the
+    # column b of B(q^n x) has weight w[b]; entry (l, b) of the
     # solution's column col is entry ((l, b), col) of the fused R-matrix
     gather, (_, _, rows), (_, _, cols), (col, idx, pos, _) = _step(
-        entries, 1, n + 1, legs_n, w2, (d,))
+        entries, 1, n + 1, legs_n, w, (d,))
     result = _Gather((d * d, d * d), pos, np.ravel_multi_index(
         (idx[:, 0] * d + idx[:, 1], col), (d * d, d * d)))
     stage_solve += (_Gather((start,), spos, dst),)
@@ -524,10 +526,11 @@ def _solve_sectors(fld, plan: tuple, cache: list, columns: np.ndarray,
     return result(sol.reshape(-1)), rel
 
 
-def fused_restriction(fld, n: int, u, v, x, sign: int, spaces=None):
+def fused_restriction(fld, n: int, u, v, x, sign: int, space=None):
     """The chained R-matrix over the block swap, restricted to the fused
-    subspace pair at (x, q^n x); returns it with its residual and the
-    off-class share of its elementary R-matrices.
+    subspace pair at (x, q^n x), space being the one at x (made if None);
+    returns it with its residual and the off-class share of its
+    elementary R-matrices.
 
     The canonical word of the block swap, applied right to left, moves
     leg p = n-1, ..., 0 of block 1 through all of block 2, which then
@@ -536,11 +539,11 @@ def fused_restriction(fld, n: int, u, v, x, sign: int, spaces=None):
     Kulish, Reshetikhin and Sklyanin): a chain over n+1 legs, restricted
     to a (d*4) x (4*d) matrix S_p on legs (p, p+1) of the state
     kron(B(x), I_d).  A last solve through B(q^n x) finishes.  The bases
-    at q^p x are twisted from B(x) (_twisted_basis).  Every map conserves
-    the joint (K_1, K_3) weight and acts one class at a time through
-    cached plans (_restriction_plan): the n stages as one batch, from one
-    stack of R-matrices (vector_rmatrix) and one solve through the
-    stacked bases, kept with their blocks on the spaces (FusedSpace).
+    at q^p x, p = 1, ..., n, are twisted from B(x) (twisted_space).
+    Every map conserves the joint (K_1, K_3) weight and acts one class at
+    a time through cached plans (_restriction_plan): the n stages as one
+    batch, from one stack of R-matrices (vector_rmatrix) and one solve
+    through the stacked bases, its blocks kept on space (FusedSpace).
 
     The entries of an R-matrix that change the weight of its two legs
     are left out; their share ||R_off|| / ||R|| (exact: inf if any is
@@ -552,43 +555,38 @@ def fused_restriction(fld, n: int, u, v, x, sign: int, spaces=None):
     k = fused_zero(fld, n, sign, u, v)
     if k is not None:
         raise FusedZeroError(n, sign, k)
-    if spaces is None:
-        spaces = (fused_space(fld, n, x, sign),
-                  fused_space(fld, n, fld.q_power(n) * x, sign))
-    sp1, sp2 = spaces
-    if not sp1.twisted:
-        sp1.twisted.append(np.stack([sp1.basis.columns] + [
-            _twisted_basis(fld, sp1.basis, fld.q_power(p), n).columns
-            for p in range(1, n)]))
-    stack, = sp1.twisted
+    if space is None:
+        space = fused_space(fld, n, x, sign)
+    stack = np.stack([twisted_space(fld, space, fld.q_power(p), n)
+                      .basis.columns for p in range(n + 1)])
     gam = Permutation.reversal(n)
     prof = q_profile(fld, n, sign)
     a = concat_tuples(gam.act(tuple(u * p for p in prof)),
                       gam.act(tuple(v * p for p in prof)))
     chain, rblocks, stage_solve, outside, stages, solve = _restriction_plan(
-        n, sp1.weights, sp2.weights)
+        n, space.weights)
     # stage p moves a[p] past a[n:], step i at legs (i, i+1) at q^(p+i) x
     rs = vector_rmatrix(fld, [[a[p]] * n for p in range(n)], [a[n:]] * n,
                         [[fld.q_power(i) * (fld.q_power(p) * x)
                           for i in range(n)] for p in range(n)])
     off = max(residual(rs[:, i][:, outside], [rs[:, i]]) for i in range(n))
-    flat = np.concatenate((stack[1:].ravel(), sp2.basis.columns.ravel()))
+    flat = stack[1:].reshape(-1)
     for gather, blocks in zip(chain, rblocks(rs.reshape(-1))):
         flat = matmul(blocks, gather(flat)).reshape(-1)
-    smat, worst = _solve_sectors(fld, stage_solve, sp1.stages, stack, flat)
-    flat = sp1.basis.columns.reshape(-1)
+    smat, worst = _solve_sectors(fld, stage_solve, space.stages, stack[:-1],
+                                 flat)
+    flat = space.basis.columns.reshape(-1)
     for gather, part, shape in stages:
         flat = matmul(smat[part].reshape(shape), gather(flat)).reshape(-1)
     # block 1, now on the last n legs, lies in the fused space at q^n x
-    small, rel = _solve_sectors(fld, solve, sp2.solve,
-                                sp2.basis.columns[None], flat)
-    return (Operator(small, (sp1.dim, sp2.dim), (sp1.weights, sp2.weights)),
+    small, rel = _solve_sectors(fld, solve, space.solve, stack[-1:], flat)
+    return (Operator(small, (space.dim,) * 2, (space.weights,) * 2),
             max(worst, rel, off), off)
 
 
-def fused_rmatrix(fld, n: int, u, v, x, sign: int, spaces=None) -> Operator:
+def fused_rmatrix(fld, n: int, u, v, x, sign: int, space=None) -> Operator:
     """The fused R-matrix: fused_restriction without its residuals."""
-    return fused_restriction(fld, n, u, v, x, sign, spaces)[0]
+    return fused_restriction(fld, n, u, v, x, sign, space)[0]
 
 
 def fused_zeros(n: int, sign: int) -> range:
@@ -614,10 +612,11 @@ def fused_zero(fld, n: int, sign: int, u, v):
 
 
 def fused_builder(fld, n: int, sign: int, residuals: list) -> RMatrixBuilder:
-    """Builder over the fused family; caches fused spaces per parameter,
-    so the builds at x and q^n x share the space at q^n x.  The cache is a
-    short list searched with ==, which compares complex parameters by
-    value and exact ones as rational functions (they are not hashable).
+    """Builder over the fused family.  The first build cuts the fused
+    space at its y0, a later y twists it by y / y0 (so y0 != 0), and the
+    spaces are cached per parameter in a short list searched with ==,
+    which compares complex parameters by value and exact ones as
+    rational functions (they are not hashable).
     Each build appends its restriction's residual and off-class share to
     residuals, as a pair."""
     cache = []
@@ -626,13 +625,12 @@ def fused_builder(fld, n: int, sign: int, residuals: list) -> RMatrixBuilder:
         for key, space in cache:
             if key == y:
                 return space
-        cache.append((y, fused_space(fld, n, y, sign)))
+        cache.append((y, twisted_space(fld, cache[0][1], y / cache[0][0], n)
+                       if cache else fused_space(fld, n, y, sign)))
         return cache[-1][1]
 
     def build(u, v, y):
-        rmat, rel, off = fused_restriction(
-            fld, n, u, v, y, sign,
-            spaces=(space_at(y), space_at(fld.q_power(n) * y)))
+        rmat, rel, off = fused_restriction(fld, n, u, v, y, sign, space_at(y))
         residuals.append((rel, off))
         return rmat
 
@@ -718,11 +716,9 @@ def check_fused_intertwining(fld, n: int, u, v, x, sign: int,
     """The fused R-matrix intertwines the swapped fused coproduct reps."""
     xs = fld.q_power(n) * x
     sp1 = fused_space(fld, n, x, sign)
-    sp2 = fused_space(fld, n, xs, sign)
-    if identity_control:
-        rmat = fld.eye(sp1.dim * sp2.dim)
-    else:
-        rmat = fused_rmatrix(fld, n, u, v, x, sign, spaces=(sp1, sp2)).mat
+    sp2 = twisted_space(fld, sp1, fld.q_power(n), n)
+    rmat = (fld.eye(sp1.dim * sp2.dim) if identity_control
+            else fused_rmatrix(fld, n, u, v, x, sign, sp1).mat)
     rep_uv = ProductRep([fused_local_rep(fld, n, u, x, sign, space=sp1),
                          fused_local_rep(fld, n, v, xs, sign, space=sp2)])
     rep_vu = ProductRep([fused_local_rep(fld, n, v, x, sign, space=sp1),

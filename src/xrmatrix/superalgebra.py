@@ -22,7 +22,7 @@ from .reports import CheckReport, scalar_to_json
 from .scalars import NumericField
 from .tensorops import (Operator, SubspaceBasis, kron, matmul, matrix_rank,
                         matrix_unit, max_term_count, passes, residual,
-                        restrict, restrict_action)
+                        restrict, restrict_action, scaled)
 
 GENERATORS = ("s",) + tuple(f"K{i}" for i in range(4)) + \
     tuple(f"E{i}" for i in range(4)) + tuple(f"F{i}" for i in range(4))
@@ -82,10 +82,10 @@ def vector_rep(fld, x) -> LocalRep:
         images[f"Kinv{i}"] = kinv
     images["E0"] = matrix_unit(fld, 4, 1)
     images["E1"] = matrix_unit(fld, 1, 2)
-    images["E2"] = matrix_unit(fld, 2, 3) + matrix_unit(fld, 4, 1) * x
+    images["E2"] = matrix_unit(fld, 2, 3) + scaled(matrix_unit(fld, 4, 1), x)
     images["E3"] = matrix_unit(fld, 3, 4)
     images["F0"] = (-matrix_unit(fld, 1, 4)
-                    - matrix_unit(fld, 3, 2) * (x / q))
+                    - scaled(matrix_unit(fld, 3, 2), x / q))
     images["F1"] = matrix_unit(fld, 2, 1)
     images["F2"] = matrix_unit(fld, 3, 2)
     images["F3"] = -matrix_unit(fld, 4, 3)
@@ -98,8 +98,8 @@ def spectral_twist(rep: LocalRep, u) -> LocalRep:
     if (u.is_zero if fld.backend == "exact" else u == 0):
         raise ValueError("twist parameter must be nonzero")
     images = {t: rep.images[t] for t in _ALL_TAGS}
-    images["E0"] = images["E0"] * (fld.one / u)
-    images["F0"] = images["F0"] * u
+    images["E0"] = scaled(images["E0"], fld.one / u)
+    images["F0"] = scaled(images["F0"], u)
     return LocalRep(fld, rep.x, images)
 
 
@@ -126,8 +126,8 @@ def coproduct_image(tag: str, reps) -> np.ndarray:
         out = out + kron(grouplike, coproduct_image(tag, rest))
         if i == 0:
             coeff = fld.q - fld.one / fld.q
-            first = matmul(head.image("s"), head.image("[E0,F2]")) * coeff
-            out = out + kron(first, coproduct_image("E2", rest))
+            first = matmul(head.image("s"), head.image("[E0,F2]"))
+            out = out + kron(scaled(first, coeff), coproduct_image("E2", rest))
         return out
     if tag.startswith("F"):
         i = int(tag[1])
@@ -136,7 +136,7 @@ def coproduct_image(tag: str, reps) -> np.ndarray:
         out = out + kron(grouplike, coproduct_image(tag, rest))
         if i == 0:
             coeff = fld.q - fld.one / fld.q
-            out = out - kron(head.image("F2") * coeff,
+            out = out - kron(scaled(head.image("F2"), coeff),
                              coproduct_image("[E2,F0]", rest))
         return out
     if tag == "[E2,F0]":
@@ -213,8 +213,8 @@ def check_relations(rep, tol: float = 1e-10) -> CheckReport:
         note(f"K{i} K{i}^-1=1", matmul(k, kinv), eye, [k, kinv])
         note(f"s K{i} s=K{i}", matmul(matmul(s, k), s), k, [s, k, s])
         sgn = fld.from_int((-1) ** parity(i))
-        note(f"s E{i} s", matmul(matmul(s, e), s), e * sgn, [s, e, s])
-        note(f"s F{i} s", matmul(matmul(s, f), s), f * sgn, [s, f, s])
+        note(f"s E{i} s", matmul(matmul(s, e), s), scaled(e, sgn), [s, e, s])
+        note(f"s F{i} s", matmul(matmul(s, f), s), scaled(f, sgn), [s, f, s])
         for j in range(4):
             kj = rep.image(f"K{j}")
             if j > i:
@@ -223,15 +223,15 @@ def check_relations(rep, tol: float = 1e-10) -> CheckReport:
             ej, fj = rep.image(f"E{j}"), rep.image(f"F{j}")
             pair = root_pairing(i, j)
             note(f"K{i} E{j} K{i}^-1",
-                 matmul(matmul(k, ej), kinv), ej * fld.q_power(pair),
+                 matmul(matmul(k, ej), kinv), scaled(ej, fld.q_power(pair)),
                  [k, ej, kinv])
             note(f"K{i} F{j} K{i}^-1",
-                 matmul(matmul(k, fj), kinv), fj * fld.q_power(-pair),
+                 matmul(matmul(k, fj), kinv), scaled(fj, fld.q_power(-pair)),
                  [k, fj, kinv])
             if (i, j) in ((2, 0), (0, 2)):
                 continue
             br = super_bracket(fld, ej, f, parity(j), parity(i))
-            rhs = (kj - rep.image(f"Kinv{j}")) * (fld.one / qdiff) \
+            rhs = scaled(kj - rep.image(f"Kinv{j}"), fld.one / qdiff) \
                 if i == j else fld.zeros((rep.dim, rep.dim))
             note(f"[E{j},F{i}]", br, rhs, [ej, f])
 
@@ -244,7 +244,7 @@ def check_relations(rep, tol: float = 1e-10) -> CheckReport:
         # normalize against the factors that built c: the central image
         # may be an algebraic zero, so |c| itself is no scale
         built_from = [rep.image(kf), rep.image(ea), rep.image(fb)]
-        note(f"{name} scalar", c, eye * scalar,
+        note(f"{name} scalar", c, scaled(eye, scalar),
              built_from if not exact else [])
         for g in GENERATORS:
             gi = rep.image(g)

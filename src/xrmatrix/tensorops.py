@@ -79,12 +79,13 @@ def frobenius(mat: np.ndarray) -> float:
 
 
 def scaled(mat: np.ndarray, s) -> np.ndarray:
-    """mat * s; on object arrays only nonzero entries are multiplied, and
-    the rest stay the exact zero, as in mat * s."""
+    """mat * s; on object arrays only nonzero entries are multiplied, by a
+    nonzero s, and the rest stay the exact zero, as in mat * s."""
     if not _is_exact(mat):
         return mat * s
-    return np.fromiter((e * s if e.num.terms else _RF_ZERO for e in mat.flat),
-                       object, mat.size).reshape(mat.shape)
+    keep = bool(s.num.terms)
+    flat = (e * s if keep and e.num.terms else _RF_ZERO for e in mat.flat)
+    return np.fromiter(flat, object, mat.size).reshape(mat.shape)
 
 
 def exact_all_zero(mat: np.ndarray) -> bool:
@@ -222,9 +223,11 @@ class Operator:
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Full-column-rank rectangular matrix whose columns span a subspace."""
+    """Full-column-rank rectangular matrix whose columns span a subspace;
+    pivots: the input columns they are, when cut by column_space."""
 
     columns: np.ndarray
+    pivots: tuple = None
 
     @property
     def ambient(self) -> int:
@@ -395,7 +398,7 @@ def column_space(mat) -> SubspaceBasis:
     if isinstance(mat, Operator):
         mat = mat.mat
     piv = _pivot_columns(mat)
-    return SubspaceBasis(mat[:, piv] if piv else mat[:, :0])
+    return SubspaceBasis(mat[:, piv] if piv else mat[:, :0], tuple(piv))
 
 
 # ---------------------------------------------------------------------------

@@ -476,11 +476,26 @@ def test_check_dynamical(capsys):
         assert json.loads(out)["residual"] == blob["residual"], argv
 
 
-def test_fusion_report(capsys, tmp_path):
+def test_fusion_report(capsys, tmp_path, monkeypatch):
+    import xrmatrix.cli
+    import xrmatrix.fusion
+
+    # one symmetrizer per sign for the report, whose --sign space serves
+    # the restriction, and one for the fused YBE
+    built = []
+    real = xrmatrix.fusion.symmetrizer
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    for module in (xrmatrix.cli, xrmatrix.fusion):
+        monkeypatch.setattr(module, "symmetrizer", counting)
     target = tmp_path / "fusion.json"
     code = main(["fusion-report", "--n", "2", "--sign", "plus",
                  "--json", str(target)])
     assert code == 0
+    assert len(built) == 3
     blob = json.loads(target.read_text())
     assert blob["dim_plus"] == 8 and blob["dim_minus"] == 8
     assert blob["basis_plus"]["shape"] == [16, 8]
