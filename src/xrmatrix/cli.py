@@ -229,16 +229,16 @@ def _cmd_fusion_report(args) -> int:
     ps = cfg.params(args.seed)
     fld = NumericField(ps.q)
     payload = {"n": args.n, "sign": args.sign}
-    spaces = {}
+    by_sign = {}
     for sg, label in ((1, "plus"), (-1, "minus")):
         sym = symmetrizer(fld, args.n, ps.x, sg)
-        spaces[sg] = space = fused_space(fld, args.n, ps.x, sg, sym=sym)
+        by_sign[sg] = space = fused_space(fld, args.n, ps.x, sg, sym=sym)
         payload[f"dim_{label}"] = space.dim
         payload[f"basis_{label}"] = basis_to_json(space.basis)
         const = fusion_constant(fld, args.n, ps.u, ps.x, sg, sym=sym)
         payload[f"constant_{label}"] = {"re": const.real, "im": const.imag}
     _, payload["invariance_residual"], _ = fused_restriction(
-        fld, args.n, ps.u, ps.v, ps.x, cfg.sign, spaces[cfg.sign])
+        fld, args.n, ps.u, ps.v, ps.x, cfg.sign, by_sign[cfg.sign])
     # fusion-report has no --samples: the level runs at --seed alone
     ybe, = run_suite("fused-ybe", cfg)
     payload["ybe_residual"] = ybe.residual

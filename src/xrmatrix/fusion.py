@@ -28,7 +28,7 @@ from .rmatrix import (RMatrixBuilder, _intertwining_report,
                       check_twisted_ybe, vector_rmatrix)
 from .superalgebra import _ALL_TAGS, LocalRep, ProductRep, tuple_rep
 from .tensorops import (INVARIANCE_TOL, Operator, SubspaceBasis, _Gather,
-                        _is_exact, _read_only, apply_at_legs, column_space,
+                        _is_exact, _pivot_columns, _read_only, apply_at_legs,
                         column_weights, exact_solve, kron, matmul,
                         max_term_count, passes, product_weights, residual,
                         restrict, scaled)
@@ -255,13 +255,15 @@ def check_fusion_constant(fld, n: int, x, sign: int, u_probes, x_probes,
 @dataclass(frozen=True)
 class FusedSpace:
     """Image of the normalized symmetrizer inside the n-fold tensor space:
-    its pivot columns (basis, with basis.pivots) and their (K_1, K_3)
-    weights.  Made once, when a restriction first needs them: stages
-    holds the weight blocks and pinv of its twists at q^p x, p = 0, ...,
-    n-1, for a stage solve, and solve those of its twist at q^n x."""
+    its pivot columns (basis), their indices (pivots) and (K_1, K_3)
+    weights.  Made once, when a restriction first needs them: twisted
+    holds its stacked twists at q^p x, p = 0, ..., n, stages the weight
+    blocks and pinv of the first n, and solve those of the last."""
 
     basis: SubspaceBasis
+    pivots: tuple
     weights: tuple
+    twisted: list = field(default_factory=list, repr=False, compare=False)
     stages: list = field(default_factory=list, repr=False, compare=False)
     solve: list = field(default_factory=list, repr=False, compare=False)
 
@@ -300,13 +302,14 @@ def fused_space(fld, n: int, x, sign: int,
     """
     if sym is None:
         sym = symmetrizer(fld, n, x, sign)
-    basis = column_space(sym.normalized.mat)
-    if basis.dim != 4 * n:
-        raise FusedDimensionError(n, sign, x, basis.dim)
+    piv = _pivot_columns(sym.normalized.mat)
+    if len(piv) != 4 * n:
+        raise FusedDimensionError(n, sign, x, len(piv))
+    basis = SubspaceBasis(sym.normalized.mat[:, piv])
     # the symmetrizer conserves the weight, so each of its columns is
     # supported on the states of a single weight
     weights = column_weights(basis.columns, (vector_weights(),) * n)
-    return FusedSpace(basis=basis, weights=weights)
+    return FusedSpace(basis, tuple(piv), weights)
 
 
 def twisted_space(fld, space: FusedSpace, lam, n: int) -> FusedSpace:
@@ -316,12 +319,15 @@ def twisted_space(fld, space: FusedSpace, lam, n: int) -> FusedSpace:
     e_2 (x) e_1 to e_3 (x) e_4 and e_4 (x) e_3, so E = D^(x)n, D = diag(1,
     1, 1, lam), conjugates the symmetrizer at x into the one at lam x,
     whose column j is E S(x)_j / E_jj: the same pivots, and the basis E B
-    with each column divided by E at its pivot.  E is diagonal, so the
-    columns keep their weights."""
-    e = functools.reduce(np.kron, (np.array([fld.one] * 3 + [lam]),) * n)
-    piv = space.basis.pivots
-    cols = space.basis.columns * e[:, None] / e[list(piv)]
-    return FusedSpace(SubspaceBasis(cols, piv), space.weights)
+    with each column divided by E at its pivot, its nonzero entries scaled
+    by lam to a power: E_ii is lam to the number of legs in e_4 of state
+    i.  E is diagonal, so the columns keep their weights."""
+    count = np.ravel(functools.reduce(np.add.outer, ([0, 0, 0, 1],) * n))
+    power = count[:, None] - count[list(space.pivots)]
+    cols = space.basis.columns.copy()
+    for k in set(power.flat) - {0}:
+        cols[power == k] = scaled(cols[power == k], lam ** int(k))
+    return FusedSpace(SubspaceBasis(cols), space.pivots, space.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +563,11 @@ def fused_restriction(fld, n: int, u, v, x, sign: int, space=None):
         raise FusedZeroError(n, sign, k)
     if space is None:
         space = fused_space(fld, n, x, sign)
-    stack = np.stack([twisted_space(fld, space, fld.q_power(p), n)
-                      .basis.columns for p in range(n + 1)])
+    if not space.twisted:
+        space.twisted.append(np.stack([space.basis.columns] + [
+            twisted_space(fld, space, fld.q_power(p), n).basis.columns
+            for p in range(1, n + 1)]))
+    stack, = space.twisted
     gam = Permutation.reversal(n)
     prof = q_profile(fld, n, sign)
     a = concat_tuples(gam.act(tuple(u * p for p in prof)),

@@ -223,11 +223,9 @@ class Operator:
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Full-column-rank rectangular matrix whose columns span a subspace;
-    pivots: the input columns they are, when cut by column_space."""
+    """Full-column-rank rectangular matrix whose columns span a subspace."""
 
     columns: np.ndarray
-    pivots: tuple = None
 
     @property
     def ambient(self) -> int:
@@ -398,7 +396,7 @@ def column_space(mat) -> SubspaceBasis:
     if isinstance(mat, Operator):
         mat = mat.mat
     piv = _pivot_columns(mat)
-    return SubspaceBasis(mat[:, piv] if piv else mat[:, :0], tuple(piv))
+    return SubspaceBasis(mat[:, piv] if piv else mat[:, :0])
 
 
 # ---------------------------------------------------------------------------
