@@ -16,7 +16,7 @@ from .fusion import (FusedDimensionError, FusedSpace, FusedZeroError,
                      check_projector_commutation, fused_builder,
                      fused_local_rep, fused_rmatrix, fused_space,
                      fusion_constant, hecke_generator_images, q_profile,
-                     symmetrizer, twisted_space)
+                     symmetrizer, twisted_rmatrix, twisted_space)
 from .permutations import Permutation, all_reduced_words, concat_tuples
 from .reports import CheckReport, dump, matrix_to_json, scalar_to_json
 from .rmatrix import (RMatrixBuilder, check_forms_equal, check_intertwining,

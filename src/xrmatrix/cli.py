@@ -19,6 +19,7 @@ from .reports import basis_to_json, dump, matrix_to_json
 from .rmatrix import vector_rmatrix, vector_rmatrix_spectral
 from .scalars import ExactField, NumericField
 from .suite import CHECKS, LEVELS, SuiteConfig, run_suite
+from .tensorops import NotInvariantError
 
 
 # fused levels above 5 are out of reach: each fused space is cut from
@@ -314,8 +315,9 @@ def main(argv=None) -> int:
                          f"{_check_row(args)}; use --backend numeric")
     try:
         return _COMMANDS[args.command](args)
-    except FusedDimensionError as err:
-        # a parameter point where the fused rank decision fails
+    except (FusedDimensionError, NotInvariantError) as err:
+        # a parameter point where the fused rank decision or a numeric
+        # restriction solve fails
         print(f"{args.command}: {err}", file=sys.stderr)
         return 2
     except OSError as err:

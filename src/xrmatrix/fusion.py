@@ -10,14 +10,15 @@ chains apply the elementary matrices along the canonical reduced word.
 The fused R-matrix restricts the block-swap chain one moving leg at a
 time and one joint (K_1, K_3) weight class at a time, through cached
 index plans, so no operator or block on all 2n legs is formed.  A check
-cuts one fused space from a symmetrizer and twists it (twisted_space).
+cuts one fused space and restricts at one x, twisting the rest to their
+parameters (twisted_space, twisted_rmatrix).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,11 +28,11 @@ from .reports import CheckReport, scalar_to_json
 from .rmatrix import (RMatrixBuilder, _intertwining_report,
                       check_twisted_ybe, vector_rmatrix)
 from .superalgebra import _ALL_TAGS, LocalRep, ProductRep, tuple_rep
-from .tensorops import (INVARIANCE_TOL, Operator, SubspaceBasis, _Gather,
-                        _is_exact, _pivot_columns, _read_only, apply_at_legs,
-                        column_weights, exact_solve, kron, matmul,
-                        max_term_count, passes, product_weights, residual,
-                        restrict, scaled)
+from .tensorops import (INVARIANCE_TOL, NotInvariantError, Operator,
+                        SubspaceBasis, _Gather, _is_exact, _pivot_columns,
+                        _read_only, apply_at_legs, column_weights,
+                        exact_solve, kron, matmul, max_term_count, passes,
+                        product_weights, residual, restrict, scaled)
 
 _MAX_SYMMETRIC_GROUP = 6
 
@@ -313,21 +314,43 @@ def fused_space(fld, n: int, x, sign: int,
 
 
 def twisted_space(fld, space: FusedSpace, lam, n: int) -> FusedSpace:
-    """The fused space at lam x, twisted from the one at x.
-
-    x enters the vector R-matrix only in its entries from e_1 (x) e_2 and
-    e_2 (x) e_1 to e_3 (x) e_4 and e_4 (x) e_3, so E = D^(x)n, D = diag(1,
-    1, 1, lam), conjugates the symmetrizer at x into the one at lam x,
-    whose column j is E S(x)_j / E_jj: the same pivots, and the basis E B
-    with each column divided by E at its pivot, its nonzero entries scaled
-    by lam to a power: E_ii is lam to the number of legs in e_4 of state
-    i.  E is diagonal, so the columns keep their weights."""
-    count = np.ravel(functools.reduce(np.add.outer, ([0, 0, 0, 1],) * n))
-    power = count[:, None] - count[list(space.pivots)]
-    cols = space.basis.columns.copy()
-    for k in set(power.flat) - {0}:
-        cols[power == k] = scaled(cols[power == k], lam ** int(k))
+    """The fused space at lam x, twisted from the one at x: x enters the
+    vector R-matrix only in its entries from e_1 (x) e_2 and e_2 (x) e_1
+    to e_3 (x) e_4 and e_4 (x) e_3, so E = D^(x)n, D = diag(1, 1, 1, lam),
+    takes the symmetrizer at x to the one at lam x, whose pivot columns
+    are E B over E at each pivot: the same pivots and weights."""
+    cols = _twist(space, 0, space.basis.columns, lam, n)
     return FusedSpace(SubspaceBasis(cols), space.pivots, space.weights)
+
+
+def twisted_rmatrix(fld, rmat: Operator, space: FusedSpace, lam, n: int):
+    """The fused R-matrix at lam x from rmat, the one at x on space (the
+    chain at lam x is the one at x conjugated by E (x) E)."""
+    return replace(rmat, mat=_twist(space, 1, rmat.mat, lam, n))
+
+
+@functools.cache
+def _twist_powers(n: int, pivots: tuple):
+    """The power of lam in entry (i, j) of a twisted basis (0) and fused
+    R-matrix (1): c_i - c_j, c the legs in e_4 of a state or pivot pair."""
+    count = np.ravel(functools.reduce(np.add.outer, ([0, 0, 0, 1],) * n))
+    piv = count[list(pivots)]
+    pair = np.add.outer(piv, piv).ravel()
+    return tuple(_read_only(np.subtract.outer(a, b).astype(np.int8))
+                 for a, b in ((count, piv), (pair, pair)))
+
+
+def _twist(space: FusedSpace, which: int, mat: np.ndarray, lam, n: int):
+    """mat times lam^power entrywise, power = _twist_powers(...)[which]:
+    numeric, from the table lam^(0, ..., 2n, -2n, ..., -1); exact, by
+    scaled once per nonzero power, so no zero or unit factor is formed."""
+    power = _twist_powers(n, space.pivots)[which]
+    if not _is_exact(mat):
+        return mat * (lam ** np.r_[0:2 * n + 1, -2 * n:0])[power]
+    out = mat.copy()
+    for k in set(power.flat) - {0}:
+        out[power == k] = scaled(out[power == k], lam ** int(k))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +516,7 @@ def _solve_sectors(fld, plan: tuple, cache: list, columns: np.ndarray,
     worst over g of ||B_g S - state|| / max(||state||, ||B_g||), as in
     restrict_action.  Raises ValueError naming the worst column when the
     state leaves the span: on the exact backend through exact_solve, on
-    the numeric one when the residual does not pass INVARIANCE_TOL."""
+    the numeric one NotInvariantError when it fails INVARIANCE_TOL."""
     gather, rows, cols, entry_col, result = plan
     state, k = gather(flat), len(columns)
     group = cols[:, 0] % k
@@ -526,9 +549,7 @@ def _solve_sectors(fld, plan: tuple, cache: list, columns: np.ndarray,
                 group[gather.dst // delta[0].size]]
             by_col = np.sqrt(np.bincount(entry_col, share ** 2))
             worst = int(np.argmax(by_col))
-            raise ValueError(
-                f"subspace is not invariant: column {worst} has relative "
-                f"residual {by_col[worst]:.3e}")
+            raise NotInvariantError(worst, by_col[worst])
     return result(sol.reshape(-1)), rel
 
 
@@ -622,26 +643,22 @@ def fused_zero(fld, n: int, sign: int, u, v):
 
 def fused_builder(fld, n: int, sign: int, residuals: list) -> RMatrixBuilder:
     """Builder over the fused family.  The first build cuts the fused
-    space at its y0, a later y twists it by y / y0 (so y0 != 0), and the
-    spaces are cached per parameter in a short list searched with ==,
-    which compares complex parameters by value and exact ones as
-    rational functions (they are not hashable).
-    Each build appends its restriction's residual and off-class share to
-    residuals, as a pair."""
+    space at its y0 (!= 0); each (u, v), found again by ==, is restricted
+    there once and twisted by y / y0 for a build at y (twisted_rmatrix).
+    Each build appends that restriction's (residual, off-class share)."""
     cache = []
 
-    def space_at(y):
-        for key, space in cache:
-            if key == y:
-                return space
-        cache.append((y, twisted_space(fld, cache[0][1], y / cache[0][0], n)
-                       if cache else fused_space(fld, n, y, sign)))
-        return cache[-1][1]
-
     def build(u, v, y):
-        rmat, rel, off = fused_restriction(fld, n, u, v, y, sign, space_at(y))
-        residuals.append((rel, off))
-        return rmat
+        if not cache:
+            cache.append((y, fused_space(fld, n, y, sign)))
+        (y0, space), *made = cache
+        found = next((out for key, out in made if key == (u, v)), None)
+        if found is None:
+            found = fused_restriction(fld, n, u, v, y0, sign, space)
+            cache.append(((u, v), found))
+        residuals.append(found[1:])
+        return (found[0] if y == y0
+                else twisted_rmatrix(fld, found[0], space, y / y0, n))
 
     return RMatrixBuilder(build=build, shift_exponent=n)
 
@@ -742,10 +759,10 @@ def check_fused_ybe(fld, n: int, sign: int, u, v, w, x, tol: float = 1e-8,
 
     The factors are assembled from weight-class blocks, so their own
     off-sector share is 0 and says nothing; what the restriction left
-    out is the off-class share of its R-matrices, whose worst over the
-    six factors is details.off_sector (numeric) and part of the residual.
-    details.restriction_residual is the worst restriction residual of
-    the six factors, the share included.
+    out is the off-class share of its R-matrices, whose worst is
+    details.off_sector (numeric) and part of the residual.  The three
+    factors at q^n x are twists (fused_builder), so
+    details.restriction_residual is the worst of three restrictions.
     """
     residuals = []
     builder = fused_builder(fld, n, sign, residuals)
@@ -754,9 +771,7 @@ def check_fused_ybe(fld, n: int, sign: int, u, v, w, x, tol: float = 1e-8,
     rel, off = map(max, zip(*residuals))
     report.residual = max(report.residual, off)
     report.passed = passes(report.residual, report.exact, tol)
-    report.details["sign"] = sign
-    report.details["n"] = n
-    report.details["restriction_residual"] = rel
+    report.details.update(sign=sign, n=n, restriction_residual=rel)
     if not report.exact:
         report.details["off_sector"] = off
     return report

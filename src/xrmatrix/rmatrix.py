@@ -155,7 +155,9 @@ class RMatrixBuilder:
     """A parametric R-matrix family together with its middle-leg twist.
 
     build(u, v, y) returns an Operator with legs (d, d); the YBE places
-    q^shift_exponent * x on the middle tensor leg.
+    q^shift_exponent * x on the middle tensor leg, so its six factors
+    are three (u, v) pairs, each built at x and at that shifted x (the
+    fused builder restricts each pair once and twists it to the shift).
     """
 
     build: Callable

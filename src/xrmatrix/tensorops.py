@@ -43,6 +43,15 @@ RANK_TOL = 1e-9
 INVARIANCE_TOL = 1e-9
 
 
+class NotInvariantError(ValueError):
+    """A numeric solve left the span: the subspace is not invariant."""
+
+    def __init__(self, column: int, rel: float):
+        super().__init__(f"subspace is not invariant: column {column} has "
+                         f"relative residual {rel:.3e}")
+        self.column, self.rel = column, rel
+
+
 def _is_exact(mat: np.ndarray) -> bool:
     return mat.dtype == object
 
@@ -474,10 +483,10 @@ def restrict_action(basis: SubspaceBasis, action: np.ndarray,
 
     Returns (S, relative residual), the residual being
     ||B*S - action|| / max(||action||, ||B||).  Raises ValueError when
-    action does not have B's row count, and naming the worst offending
-    column when the subspace is not invariant: on the numeric backend,
-    when the residual does not pass tol, which math.inf leaves to
-    non-finite residuals.
+    action does not have B's row count, and one naming the worst
+    offending column when the subspace is not invariant: on the numeric
+    backend NotInvariantError, when the residual does not pass tol,
+    which math.inf leaves to non-finite residuals.
     """
     b = basis.columns
     if action.shape[0] != basis.ambient:
@@ -495,10 +504,7 @@ def restrict_action(basis: SubspaceBasis, action: np.ndarray,
     if not passes(rel, False, tol):
         col_norms = np.linalg.norm(delta, axis=0)
         worst = int(np.argmax(col_norms))
-        raise ValueError(
-            f"subspace is not invariant: column {worst} has relative "
-            f"residual {col_norms[worst] / scale:.3e}"
-        )
+        raise NotInvariantError(worst, col_norms[worst] / scale)
     return s, rel
 
 

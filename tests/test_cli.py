@@ -4,7 +4,7 @@ import json
 import pytest
 
 from xrmatrix import (ExactField, NumericField, check_fused_intertwining,
-                      check_intertwining, cli, vector_rmatrix)
+                      check_intertwining, cli, fusion, vector_rmatrix)
 from xrmatrix.cartan import cartan_json
 from xrmatrix.cli import main, parse_complex
 from xrmatrix.fusion import fused_zeros
@@ -207,6 +207,24 @@ def test_wrong_fused_dimension_is_exit_2(capsys):
         assert code == 2, argv
         assert err == (f"{argv[0]}: fused space at n = 2, sign -, "
                        "x = (1e-08+0j) has dimension 9, not 8\n"), argv
+
+
+def test_non_invariant_restriction_is_exit_2(capsys, monkeypatch):
+    # a numeric restriction solve that leaves the span is named on one
+    # line, as at n = 5, sign -, seed 0 before the builder twisted its
+    # factors at q^n x
+    def failing(*args):
+        raise fusion.NotInvariantError(272, 4.1e-9)
+
+    monkeypatch.setattr(fusion, "_solve_sectors", failing)
+    for argv in (["check-ybe", "--level", "fused", "--n", "2", "--samples",
+                  "1"],
+                 ["fusion-report", "--n", "2"]):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert err == (f"{argv[0]}: subspace is not invariant: column 272 "
+                       "has relative residual 4.100e-09\n"), argv
 
 
 def _masked(out):

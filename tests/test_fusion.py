@@ -16,7 +16,7 @@ from xrmatrix import (GENERATORS, FusedDimensionError, FusedZeroError,
                       tensor_projectors, tuple_rep, twisted_space,
                       vector_rmatrix)
 from xrmatrix import fusion
-from xrmatrix.fusion import apply_chain, fused_restriction
+from xrmatrix.fusion import apply_chain, fused_restriction, twisted_rmatrix
 from xrmatrix.permutations import (Permutation, all_reduced_words,
                                    concat_tuples)
 from xrmatrix.superalgebra import coproduct_image
@@ -563,6 +563,39 @@ class TestFusedRMatrix:
             fused_restriction(nf, n, ps.u, ps.v, ps.x, sign, wrong)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("seed", (0, 3, 7))
+    def test_twisted_rmatrix_is_the_restriction_at_the_twisted_parameter(
+            self, seed):
+        # the builder's factors at q^n x are twists of those at x; the
+        # reference restricts at q^n x on the space there, and a twist by
+        # q^(n+1) must differ from it
+        ps = sample_params(seed)
+        fld = NumericField(ps.q)
+        for n, sign in itertools.product((1, 2, 3, 4), (1, -1)):
+            space = fused_space(fld, n, ps.x, sign)
+            lam = fld.q_power(n)
+            ref = fused_rmatrix(fld, n, ps.u, ps.v, lam * ps.x, sign,
+                                twisted_space(fld, space, lam, n)).mat
+            rmat = fused_rmatrix(fld, n, ps.u, ps.v, ps.x, sign, space)
+            got, wrong = (twisted_rmatrix(fld, rmat, space, fld.q_power(k),
+                                          n).mat for k in (n, n + 1))
+            scale = np.linalg.norm(ref)
+            assert np.linalg.norm(got - ref) <= 1e-11 * scale, (n, sign)
+            assert np.linalg.norm(wrong - ref) > 1e-2 * scale, (n, sign)
+
+    def test_twisted_rmatrix_is_the_restriction_at_the_twisted_parameter_exact(
+            self, ef):
+        for n, sign in ((1, 1), (1, -1), (2, 1)):
+            space = fused_space(ef, n, ef.x, sign)
+            lam = ef.q_power(n)
+            ref = fused_rmatrix(ef, n, ef.u, ef.v, lam * ef.x, sign,
+                                twisted_space(ef, space, lam, n)).mat
+            rmat = fused_rmatrix(ef, n, ef.u, ef.v, ef.x, sign, space)
+            for k in (n, n + 1):
+                got = twisted_rmatrix(ef, rmat, space, ef.q_power(k), n).mat
+                same = all(a == b for a, b in zip(got.flat, ref.flat))
+                assert same == (k == n), (n, sign, k)
+
     def test_staged_restriction_matches_kron_route(self, nf, ps):
         for n in (2, 3):
             for sign in (1, -1):
@@ -791,27 +824,24 @@ class TestFusedYBE:
         assert report.passed
 
     def test_two_legs(self, nf, ps):
-        xs = nf.q_power(2) * ps.x
         u, v, w = ps.u, ps.v, ps.w
         for sign in (1, -1):
             report = check_fused_ybe(nf, 2, sign, u, v, w, ps.x, tol=1e-8)
             assert report.passed
-            # the worst restriction residual of the six fused factors, on
-            # the space at x and its twist to xs, as the builder makes
+            # the worst restriction residual of the three (u, v) pairs on
+            # the space at x; the builder twists them to q^2 x
             space = fused_space(nf, 2, ps.x, sign)
-            at = {ps.x: space, xs: twisted_space(nf, space, xs / ps.x, 2)}
             worst = max(
-                fused_restriction(nf, 2, a, b, y, sign, at[y])[1]
-                for a, b, y in ((v, w, ps.x), (u, w, xs), (u, v, ps.x),
-                                (u, v, xs), (u, w, ps.x), (v, w, xs)))
+                fused_restriction(nf, 2, a, b, ps.x, sign, space)[1]
+                for a, b in ((v, w), (u, v), (u, w)))
             assert report.details["restriction_residual"] == worst
             assert 0 < worst < 1e-9
 
     def test_exact_single_leg_builds_one_space(self, ef, monkeypatch):
-        # the six factors need the spaces at x and q x (and their stages
-        # those at q^2 x); the one at q x is twisted from the one at x, and
-        # the cache must find it again though each build computes q x anew
-        # as a rational function
+        # the six factors are three (u, v) pairs at x and at q x; each
+        # pair is restricted once, on the space at x, and twisted to q x,
+        # and the cache must find it again though the factors pass their
+        # parameters as rational functions
         built, used = [], []
         restriction = fusion.fused_restriction
 
@@ -828,7 +858,7 @@ class TestFusedYBE:
         report = check_fused_ybe(ef, 1, 1, ef.u, ef.v, ef.w, ef.x)
         assert report.passed
         assert built == [ef.x]
-        assert len(used) == 6 and len({id(space) for space in used}) == 2
+        assert len(used) == 3 and len({id(space) for space in used}) == 1
 
     def test_small_x(self):
         # seed 0, sign -: at these points the numeric pivoting misjudges
@@ -847,9 +877,9 @@ class TestFusedYBE:
 
     def test_last_solve_blocks_are_inverted_once_per_space(self, nf, ps,
                                                             monkeypatch):
-        # the six builds start in the spaces at x and q^2 x, and each
-        # keeps the batched pinv of its stacked stage bases and of its
-        # last solve's basis: four serve all six stage and last solves
+        # the three restrictions run on the space at x, which keeps the
+        # batched pinv of its stacked stage bases and of its last solve's
+        # basis: two serve all three stage and last solves
         batched = []
         pinv = np.linalg.pinv
 
@@ -860,7 +890,7 @@ class TestFusedYBE:
         monkeypatch.setattr(np.linalg, "pinv", counting)
         report = check_fused_ybe(nf, 2, 1, ps.u, ps.v, ps.w, ps.x)
         assert report.passed
-        assert sum(batched) == 4
+        assert sum(batched) == 2
 
     def test_off_sector_stage_entry_fails(self, nf, ps, ef, monkeypatch):
         # the sector route leaves out the entries of an elementary
@@ -918,6 +948,9 @@ class TestFusedYBE:
             report = check_fused_ybe(fld, 4, sign, ps.u, ps.v, ps.w, ps.x,
                                      tol=1e-7)
             assert report.passed, (sign, report.residual)
+            # sign -: the factors restricted at q^4 x, through the fused
+            # bases up to B(q^8 x), read 1.3e-10; twisted from x, 1.5e-12
+            assert report.details["restriction_residual"] < 1e-11, sign
         control = check_fused_ybe(fld, 4, 1, ps.u, ps.v, ps.w, ps.x,
                                   tol=1e-7, shift=3)
         # the residual the dense d^3 x d^3 contraction gave
