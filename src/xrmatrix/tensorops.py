@@ -354,8 +354,7 @@ def _term_count(s: RationalFunction) -> int:
 def max_term_count(*mats) -> int:
     """The largest num + den term count among the entries of exact
     matrices: how large the compared rational functions grew."""
-    return max((len(s.num.terms) + len(s.den.terms)
-                for m in mats for s in m.flat), default=0)
+    return max((_term_count(s) for m in mats for s in m.flat), default=0)
 
 
 def _exact_pivot_columns(mat: np.ndarray):

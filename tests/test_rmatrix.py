@@ -8,6 +8,7 @@ from xrmatrix import (NumericField, Operator, check_dynamical_ybe,
                       vector_rmatrix, vector_rmatrix_spectral, ybe_residual)
 from xrmatrix.cartan import theta
 from xrmatrix.rmatrix import _sector_sides, twisted_ybe_factors
+from xrmatrix.scalars import RationalFunction
 from xrmatrix.tensorops import exact_all_zero, passes, product_weights
 
 
@@ -350,6 +351,21 @@ class TestSectorSides:
         assert report.details["max_terms"] == 19
         assert report.details["sectors"] == {"count": 16, "largest": 9}
         assert "off_sector" not in report.details
+
+    def test_exact_box_ybe_normalizes_nothing(self, ef, monkeypatch):
+        # every entry of the box factors is a polynomial over 1, so each
+        # product, sum and difference of the sides takes the denominator-1
+        # path and no RationalFunction is normalized
+        mats = twisted_ybe_factors(ef, vector_builder(ef), ef.u, ef.v, ef.w,
+                                   ef.x)
+        calls = []
+        init = RationalFunction.__init__
+        monkeypatch.setattr(RationalFunction, "__init__",
+                            lambda s, *a: calls.append(a) or init(s, *a))
+        details = {}
+        assert ybe_residual(mats, details) == 0.0
+        assert details["max_terms"] == 19
+        assert calls == []
 
     def test_equal_size_sectors_match_kron(self, ef):
         # legs (3, 4, 3) with nine sectors of one state, ten of two, one

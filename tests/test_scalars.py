@@ -1,3 +1,4 @@
+import operator
 from math import gcd
 
 import pytest
@@ -313,15 +314,71 @@ def test_normalization_keeps_every_term(num, den):
     assert _items(RationalFunction(num, den)) == _items(_ref_rational(num, den))
 
 
-@settings(max_examples=200, deadline=None)
-@given(_rational_pairs())
+# polynomials with no negative exponent over denominator 1: both operands
+# take the denominator-1 path of +, - and *
+_plain_exponents = st.tuples(st.integers(0, 3), st.integers(0, 2),
+                             st.integers(0, 2), st.integers(0, 1),
+                             st.integers(0, 1))
+_plain_polys = st.dictionaries(_plain_exponents, _nonzero_coeffs,
+                               max_size=5).map(LaurentPoly)
+
+
+@st.composite
+def _plain_pairs(draw):
+    """(a, b) over 1, b often built from a so that terms cancel."""
+    a = draw(_plain_polys)
+    kind = draw(st.sampled_from(("free", "equal", "negated")))
+    if kind == "free":
+        b = draw(_plain_polys)
+    elif kind == "equal":
+        b = a + draw(_plain_polys)
+    else:
+        b = -a + draw(_plain_polys)
+    one = LaurentPoly.constant(1)
+    return (_ref_rational(a, one), _ref_rational(b, one))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_rational_pairs(), _plain_pairs()))
 def test_rational_fast_paths_keep_every_term(pair):
     ra, rb = pair
     a, b = RationalFunction(*ra), RationalFunction(*rb)
     assert _items(a) == _items(ra) and _items(b) == _items(rb)
     assert _items(a + b) == _items(_ref_add(ra, rb))
+    assert _items(b + a) == _items(_ref_add(rb, ra))
     assert _items(a - b) == _items(_ref_sub(ra, rb))
     assert _items(b - a) == _items(_ref_sub(rb, ra))
     assert _items(a * b) == _items(_ref_mul(ra, rb))
+    assert _items(b * a) == _items(_ref_mul(rb, ra))
     if not b.is_zero:
         assert _items(a / b) == _items(_ref_div(ra, rb))
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "/": operator.truediv}
+
+
+def _combine(op, a, b):
+    return a if op == "/" and b.is_zero else _OPS[op](a, b)
+
+
+_leaves = st.one_of(
+    st.integers(-3, 3).map(RationalFunction.from_int),
+    st.sampled_from(("q", "u", "v", "w", "x")).map(RationalFunction.variable),
+    st.integers(-3, 3).map(F.q_power))
+_expressions = st.recursive(
+    _leaves,
+    lambda sub: st.one_of(
+        sub.map(lambda a: -a),
+        st.tuples(st.sampled_from("+-*/"), sub, sub).map(
+            lambda t: _combine(*t))),
+    max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_expressions)
+def test_a_result_over_one_has_no_negative_exponent(r):
+    # the invariant the denominator-1 path relies on: normalization moves
+    # every negative exponent into the denominator
+    if r.den.terms == {(0, 0, 0, 0, 0): 1}:
+        assert all(k >= 0 for e in r.num.terms for k in e)
